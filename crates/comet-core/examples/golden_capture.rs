@@ -1,14 +1,12 @@
 //! Prints the exact seeded explanation outputs pinned by
 //! `tests/golden.rs`. Run it (`cargo run --release -p comet-core
 //! --example golden_capture`) to re-capture the golden values after an
-//! *intentional* algorithm change — and bump the evaluation journal
-//! fingerprint when you do. Note the printed feature indices are
-//! 1-based display form; the test encodes them 0-based.
+//! *intentional* algorithm change — and bump the `search=` fingerprint
+//! tag when you do. Note the printed feature indices are 1-based
+//! display form; the test encodes them 0-based.
 use comet_core::{ExplainConfig, Explainer};
 use comet_isa::{parse_block, Microarch};
 use comet_models::CrudeModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let blocks = [
@@ -20,7 +18,7 @@ fn main() {
         let block = parse_block(text).unwrap();
         let explainer = Explainer::new(CrudeModel::new(Microarch::Haswell), config);
         for seed in [3u64, 7] {
-            let e = explainer.explain(&block, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let e = explainer.explain(&block, seed).unwrap();
             println!(
                 "{name} seed={seed}: features={} precision={:?} coverage={:?} prediction={:?} anchored={} queries={}",
                 e.display_features(), e.precision, e.coverage, e.prediction, e.anchored, e.queries

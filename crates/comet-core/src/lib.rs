@@ -20,14 +20,16 @@
 //!    precision exceeds `1 - δ` ([`Explainer`]).
 //!
 //! The model is an untrusted black box: [`Explainer::explain`] queries
-//! it only through the fallible [`CostModel::try_predict`] entry point
-//! and returns `Result<Explanation, ExplainError>` — failures on
-//! individual perturbed samples are tolerated (counted in
+//! it only through the fallible [`CostModel::try_predict`] and
+//! [`CostModel::predict_batch`] entry points and returns
+//! `Result<Explanation, ExplainError>` — failures on individual
+//! perturbed samples are tolerated (counted in
 //! [`Explanation::faults`] and flagged via [`Explanation::degraded`]),
 //! while failures on the explained block itself become
 //! [`ExplainError::Model`].
 //!
 //! [`CostModel::try_predict`]: comet_models::CostModel::try_predict
+//! [`CostModel::predict_batch`]: comet_models::CostModel::predict_batch
 //!
 //! # Examples
 //!
@@ -35,13 +37,12 @@
 //! use comet_core::{Explainer, ExplainConfig};
 //! use comet_models::CrudeModel;
 //! use comet_isa::Microarch;
-//! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let block = comet_isa::parse_block("add rcx, rax\nmov rdx, rcx\npop rbx")?;
 //! let model = CrudeModel::new(Microarch::Haswell);
 //! let explainer = Explainer::new(model, ExplainConfig::for_crude_model());
-//! let explanation = explainer.explain(&block, &mut StdRng::seed_from_u64(0))?;
+//! let explanation = explainer.explain(&block, 0)?;
 //! println!("{} explains the prediction", explanation.display_features());
 //! # Ok(())
 //! # }

@@ -347,6 +347,57 @@ mod tests {
     }
 
     #[test]
+    fn handles_empty_input() {
+        let items: Vec<u64> = Vec::new();
+        let out: Vec<Result<u64, ParPanic>> = par_map(&items, |_, &x| x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn strict_map_passes_through_healthy_workers() {
+        let items: Vec<u64> = (0..10).collect();
+        let out = par_map_strict(&items, |_, &x| x + 1);
+        assert_eq!(out, (1..=10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pre_cancelled_token_runs_nothing() {
+        let token = CancelToken::new();
+        token.cancel();
+        let items: Vec<u64> = (0..20).collect();
+        let out = par_map_cancellable(&items, &token, |_, &x| x);
+        assert_eq!(out.len(), 20);
+        assert!(out.iter().all(|slot| slot.is_none()));
+    }
+
+    #[test]
+    fn cancellation_mid_run_drains_started_items() {
+        let items: Vec<u64> = (0..200).collect();
+        let token = CancelToken::after_polls(10);
+        let out = par_map_cancellable(&items, &token, |_, &x| x * 2);
+        assert!(token.is_cancelled());
+        assert_eq!(out.len(), 200);
+        let done = out.iter().flatten().count();
+        // Strictly fewer than all items ran, and every completed slot
+        // holds the right answer.
+        assert!(done < 200, "expected an interrupted run, all items completed");
+        for (i, slot) in out.iter().enumerate() {
+            if let Some(result) = slot {
+                assert_eq!(*result, Ok(i as u64 * 2));
+            }
+        }
+    }
+
+    #[test]
+    fn uncancelled_token_is_transparent() {
+        let items: Vec<u64> = (0..30).collect();
+        let token = CancelToken::new();
+        let out = par_map_cancellable(&items, &token, |_, &x| x + 7);
+        assert!(out.iter().enumerate().all(|(i, slot)| *slot == Some(Ok(i as u64 + 7))));
+        assert!(!token.is_cancelled());
+    }
+
+    #[test]
     fn panicking_item_is_isolated() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));

@@ -239,8 +239,7 @@ proptest! {
             ..ExplainConfig::for_crude_model()
         };
         let explainer = Explainer::new(faulty, config);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF);
-        match explainer.explain(&block, &mut rng) {
+        match explainer.explain(&block, seed ^ 0xDEAD_BEEF) {
             Ok(e) => {
                 prop_assert!(e.queries <= config.max_total_queries, "budget blown: {}", e.queries);
                 prop_assert!(!e.features.is_empty());

@@ -4,10 +4,9 @@
 use std::path::PathBuf;
 
 use comet_bhive::{Corpus, GenConfig};
+use comet_core::cancel::CancelToken;
 use comet_isa::Microarch;
 use comet_models::{IthemalConfig, IthemalSurrogate, UicaSurrogate};
-
-use crate::par::CancelToken;
 
 /// Experiment scale: `paper` replicates the paper's set sizes; `quick`
 /// is a minutes-scale smoke configuration for CI and tests.

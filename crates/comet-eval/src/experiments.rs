@@ -3,6 +3,7 @@
 use std::fmt;
 
 use comet_bhive::BhiveBlock;
+use comet_core::par::{par_map_cancellable, ParPanic};
 use comet_core::{
     ground_truth, is_accurate, BaselineContext, BatchExec, ExplainConfig, ExplainError, Explainer,
     Explanation, FeatureSet,
@@ -14,7 +15,6 @@ use rand::SeedableRng;
 
 use crate::context::{Durability, EvalContext};
 use crate::journal::{fingerprint, Journal, JournalError, JournalRecord};
-use crate::par::{par_map_cancellable, ParPanic};
 use crate::report::{pm, Table};
 
 /// Why one block's explanation failed.

@@ -33,8 +33,6 @@ pub mod experiments;
 pub mod extras;
 pub mod figures;
 pub mod journal;
-pub mod par;
 pub mod report;
 
 pub use context::{Durability, EvalContext, Scale};
-pub use par::CancelToken;

@@ -25,10 +25,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use comet_core::cancel::install_sigint;
-use comet_eval::{
-    ablations, experiments, extras, figures, CancelToken, Durability, EvalContext, Scale,
-};
+use comet_core::cancel::{install_sigint, CancelToken};
+use comet_eval::{ablations, experiments, extras, figures, Durability, EvalContext, Scale};
 
 /// Process exit status for an interrupted (SIGINT) run, shell-style.
 const SIGINT_EXIT: i32 = 130;

@@ -13,10 +13,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use comet_core::{ExplainConfig, Explanation, FeatureSet};
+use comet_core::{CancelToken, ExplainConfig, Explanation, FeatureSet};
 use comet_eval::experiments::{explain_blocks, explain_blocks_durable, try_explain_blocks_durable};
 use comet_eval::journal::{fingerprint, Journal, JournalError, JournalRecord};
-use comet_eval::{CancelToken, Durability};
+use comet_eval::Durability;
 use comet_isa::{BasicBlock, Microarch};
 use comet_models::{CostModel, CrudeModel};
 use proptest::prelude::*;

@@ -85,56 +85,12 @@ impl<M: CostModel + Send + Sync + 'static> CostModel for DeadlineModel<M> {
         self.try_predict(block).unwrap_or(f64::NAN)
     }
 
+    /// A batch of one: one `deadline` of wall clock, one timeout
+    /// counted on expiry, and panics mapped as on the batch path.
     fn try_predict(&self, block: &BasicBlock) -> Result<f64, ModelError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let model = Arc::clone(&self.inner);
-        let owned = block.clone();
-        let start = Instant::now();
-        let spawned =
-            std::thread::Builder::new().name("comet-deadline-watchdog".into()).spawn(move || {
-                // `try_predict` implementations may themselves panic
-                // (the trait default catches `predict` panics, but an
-                // override need not); convert instead of unwinding
-                // through the channel send.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    model.try_predict(&owned)
-                }));
-                let result = match caught {
-                    Ok(inner) => inner,
-                    Err(payload) => {
-                        Err(ModelError::Panic { message: panic_payload_message(&*payload) })
-                    }
-                };
-                let _ = tx.send(result);
-            });
-        let handle = match spawned {
-            Ok(handle) => handle,
-            // Thread spawn failed (resource exhaustion): degrade to an
-            // unguarded call rather than refusing to predict at all.
-            Err(_) => return self.inner.try_predict(block),
-        };
-        match rx.recv_timeout(self.deadline) {
-            Ok(result) => {
-                // The worker has already sent; reap it so healthy
-                // queries never leak threads.
-                let _ = handle.join();
-                result
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Abandon: drop the handle (detach) and report. The
-                // worker's eventual result is discarded by the dead
-                // channel.
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                drop(handle);
-                Err(ModelError::Timeout { elapsed: start.elapsed(), deadline: self.deadline })
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // The worker died without sending — only possible if it
-                // unwound past the catch (e.g. a panic in `Drop`).
-                let _ = handle.join();
-                Err(ModelError::Panic { message: "deadline worker died without a result".into() })
-            }
-        }
+        self.predict_batch(std::slice::from_ref(block)).pop().unwrap_or_else(|| {
+            Err(ModelError::Panic { message: "batch of one returned no result".into() })
+        })
     }
 
     /// Batch path: the whole batch runs as *one* guarded inner
@@ -155,6 +111,8 @@ impl<M: CostModel + Send + Sync + 'static> CostModel for DeadlineModel<M> {
         let start = Instant::now();
         let spawned =
             std::thread::Builder::new().name("comet-deadline-watchdog".into()).spawn(move || {
+                // An overriding `predict_batch` may panic; convert
+                // instead of unwinding through the channel send.
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     model.predict_batch(&owned)
                 }));
@@ -177,6 +135,8 @@ impl<M: CostModel + Send + Sync + 'static> CostModel for DeadlineModel<M> {
         };
         match rx.recv_timeout(budget) {
             Ok(results) => {
+                // The worker has already sent; reap it so healthy
+                // queries never leak threads.
                 let _ = handle.join();
                 results
             }

@@ -24,13 +24,12 @@
 //! use comet::{ExplainConfig, Explainer};
 //! use comet::models::CrudeModel;
 //! use comet::isa::Microarch;
-//! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let block = comet::isa::parse_block("add rcx, rax\nmov rdx, rcx\npop rbx")?;
 //! let model = CrudeModel::new(Microarch::Haswell);
 //! let explainer = Explainer::new(model, ExplainConfig::for_crude_model());
-//! let explanation = explainer.explain(&block, &mut StdRng::seed_from_u64(0))?;
+//! let explanation = explainer.explain(&block, 0)?;
 //! println!("{}", explanation.display_features());
 //! # Ok(())
 //! # }

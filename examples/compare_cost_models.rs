@@ -13,8 +13,6 @@ use comet::core::FeatureKind;
 use comet::isa::Microarch;
 use comet::models::{mape, CachedModel, CostModel, IthemalConfig, IthemalSurrogate, UicaSurrogate};
 use comet::{ExplainConfig, Explainer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: usize = std::env::args().nth(1).map_or(20, |s| s.parse().expect("numeric argument"));
@@ -30,14 +28,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let uica = UicaSurrogate::new(march);
 
     println!("{:<14} {:>8}  {:>7} {:>7} {:>7}", "model", "MAPE", "% eta", "% inst", "% dep");
-    for model in [&ithemal as &dyn CostModel, &uica] {
+    for model in [&ithemal as &(dyn CostModel + Sync), &uica] {
         let error = mape(&model, &labelled);
         let cached = CachedModel::new(model);
         let explainer = Explainer::new(&cached, ExplainConfig::for_throughput_model());
-        let mut rng = StdRng::seed_from_u64(3);
         let explanations: Vec<_> = test
             .iter()
-            .map(|entry| explainer.explain(&entry.block, &mut rng))
+            .enumerate()
+            .map(|(i, entry)| explainer.explain(&entry.block, 3 + i as u64))
             .collect::<Result<_, _>>()?;
         let pct = |kind: FeatureKind| {
             100.0

@@ -13,8 +13,6 @@ use comet::core::compare_models;
 use comet::isa::Microarch;
 use comet::models::{CoarseBaselineModel, UicaSurrogate};
 use comet::ExplainConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: usize = std::env::args().nth(1).map_or(12, |s| s.parse().expect("numeric argument"));
@@ -27,8 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let uica = UicaSurrogate::new(Microarch::Haswell);
 
     let config = ExplainConfig { coverage_samples: 500, ..ExplainConfig::for_throughput_model() };
-    let mut rng = StdRng::seed_from_u64(0);
-    let report = compare_models(&coarse, &uica, &blocks, config, &mut rng)?;
+    let report = compare_models(&coarse, &uica, &blocks, config, 0)?;
 
     println!(
         "compared `{}` vs `{}` on {} blocks",

@@ -12,8 +12,6 @@ use comet::models::{
     CostModel, CrudeModel, FaultConfig, FaultyModel, ResilientConfig, ResilientModel,
 };
 use comet::{ExplainConfig, Explainer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The motivating example from the paper: `mov rdx, rcx` reads the
@@ -36,9 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Ask COMET which block features the prediction hinges on.
     // `explain` is fallible too: it errors only if the model fails on
     // the original block; faults on perturbed samples are tolerated.
+    // The seed makes the search reproducible: same seed, same answer.
     let explainer = Explainer::new(model, ExplainConfig::for_crude_model());
-    let mut rng = StdRng::seed_from_u64(42);
-    let explanation = explainer.explain(&block, &mut rng)?;
+    let explanation = explainer.explain(&block, 42)?;
 
     println!("explanation  : {}", explanation.display_features());
     println!("precision    : {:.2} (threshold 0.70)", explanation.precision);
@@ -62,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let explainer = Explainer::new(resilient, ExplainConfig::for_crude_model());
     println!("with a flaky model (10% fault rate behind a resilient wrapper):");
-    match explainer.explain(&block, &mut StdRng::seed_from_u64(42)) {
+    match explainer.explain(&block, 42) {
         Ok(explanation) => {
             let report = explainer.model().report();
             println!("explanation  : {}", explanation.display_features());

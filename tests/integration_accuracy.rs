@@ -22,8 +22,8 @@ fn comet_beats_random_baseline_on_crude_model() {
     let mut rng = StdRng::seed_from_u64(0);
     let mut comet_hits = 0;
     let mut random_hits = 0;
-    for (entry, gt) in corpus.iter().zip(&gts) {
-        let explanation = explainer.explain(&entry.block, &mut rng).unwrap();
+    for (i, (entry, gt)) in corpus.iter().zip(&gts).enumerate() {
+        let explanation = explainer.explain(&entry.block, i as u64).unwrap();
         if is_accurate(&explanation.features, gt) {
             comet_hits += 1;
         }
@@ -44,9 +44,8 @@ fn explanations_have_meaningful_precision_and_coverage() {
     let crude = CrudeModel::new(Microarch::Skylake);
     let config = ExplainConfig { coverage_samples: 500, ..ExplainConfig::for_crude_model() };
     let explainer = Explainer::new(crude, config);
-    let mut rng = StdRng::seed_from_u64(5);
-    for entry in &corpus {
-        let e = explainer.explain(&entry.block, &mut rng).unwrap();
+    for (i, entry) in corpus.iter().enumerate() {
+        let e = explainer.explain(&entry.block, 5 + i as u64).unwrap();
         assert!((0.0..=1.0).contains(&e.precision));
         assert!((0.0..=1.0).contains(&e.coverage));
         assert!(e.queries > 0);

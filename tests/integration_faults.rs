@@ -7,14 +7,12 @@
 
 use std::time::Duration;
 
-use comet::eval::par::par_map;
+use comet::core::par_map;
 use comet::isa::{parse_block, BasicBlock, Microarch};
 use comet::models::{
     CostModel, CrudeModel, FaultConfig, FaultyModel, ResilientConfig, ResilientModel,
 };
 use comet::{ExplainConfig, ExplainError, Explainer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn test_block() -> BasicBlock {
     parse_block("add rcx, rax\nmov rdx, rcx\npop rbx\nimul r9, r10").unwrap()
@@ -42,8 +40,7 @@ fn explain_survives_every_fault_class_across_100_seeds() {
         let faulty =
             FaultyModel::new(CrudeModel::new(Microarch::Haswell), FaultConfig::uniform(0.1, seed));
         let explainer = Explainer::new(faulty, sweep_config());
-        let mut rng = StdRng::seed_from_u64(seed);
-        match explainer.explain(&block, &mut rng) {
+        match explainer.explain(&block, seed) {
             Ok(e) => {
                 explained += 1;
                 faults_seen += e.faults;
@@ -111,9 +108,7 @@ fn tripped_breaker_degrades_explanation_to_fallback() {
 
     let explain_config = sweep_config();
     let explainer = Explainer::new(resilient, explain_config);
-    let e = explainer
-        .explain(&block, &mut StdRng::seed_from_u64(42))
-        .expect("fallback-served explanation");
+    let e = explainer.explain(&block, 42).expect("fallback-served explanation");
     assert!(e.degraded, "open breaker must mark the explanation degraded");
     assert_eq!(e.faults, 0, "fallback answers are successes, not faults");
     assert_eq!(e.retries, 0);
@@ -126,7 +121,7 @@ fn tripped_breaker_degrades_explanation_to_fallback() {
     // With the breaker open the pipeline *is* the fallback model:
     // explaining the fallback directly with the same seed must agree.
     let direct = Explainer::new(CrudeModel::new(Microarch::Haswell), explain_config)
-        .explain(&block, &mut StdRng::seed_from_u64(42))
+        .explain(&block, 42)
         .unwrap();
     assert_eq!(e.features, direct.features);
     assert_eq!(e.precision, direct.precision);
