@@ -296,7 +296,7 @@ impl HierarchicalRegressor {
     /// — each weight row traversed once per step for up to four blocks
     /// per vector. Under [`KernelKind::Scalar`] the batch runs block by
     /// block through the scalar recurrence: the lane-staged scalar path
-    /// this replaced was *slower* per block than B=1 (BENCH_explain.json
+    /// this replaced was *slower* per block than B=1 (commit 074f969,
     /// b8/b32 vs b1), so degrading to the scalar path is exactly the
     /// adaptive fallback — batching can never lose. Either way every
     /// output is bitwise identical to the same-variant single-block

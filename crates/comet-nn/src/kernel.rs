@@ -209,7 +209,7 @@ pub fn avx2() -> Option<&'static Kernel> {
 }
 
 /// Comma-separated list of the SIMD features this process detected —
-/// reporting only (the bench-report machine header, /metrics); kernel
+/// reporting only (the comet-benchmark run header, /metrics); kernel
 /// choice uses exactly AVX2+FMA.
 pub fn cpu_features() -> String {
     #[cfg(target_arch = "x86_64")]

@@ -1,4 +1,4 @@
-//! `comet-serve` — run the explanation service, or benchmark it.
+//! `comet-serve` — run the explanation service.
 //!
 //! ```text
 //! comet-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
@@ -10,9 +10,6 @@
 //!             [--store PATH]
 //!             [--supervised] [--chaos-seed N] [--chaos-panic-rate F]
 //!             [--force-scalar]
-//!             [--bench-client] [--duration-secs S] [--clients N]
-//!             [--connections N] [--baseline FILE]
-//!             [--allow-schema-mismatch] [--out FILE]
 //! ```
 //!
 //! `--event-threads N` sets the reactor (epoll event-loop) thread
@@ -25,47 +22,18 @@
 //! `store.comets`) as the top tier of the explain ladder, and enables
 //! the `GET /analytics/*` rollup endpoints.
 //!
-//! Without `--bench-client` the binary serves until Ctrl-C or SIGTERM
-//! (graceful drain; a second Ctrl-C aborts). `--supervised` makes
-//! stdin EOF a third drain trigger, which is how `comet-supervisor`
-//! asks its children to drain without signals. The `--chaos-*` flags
-//! enable seeded in-server fault injection (worker panics) for the
-//! chaos harness — never use them in real serving. With
-//! `--bench-client`, the binary starts the server on a loopback port,
-//! drives it with `--clients` concurrent connections for
-//! `--duration-secs`, and writes `BENCH_serve.json`
-//! (`{"schema":2,"mode":...,"current":{...}}`, the same envelope as
-//! `BENCH_explain.json`) with throughput, shed rate, and latency
-//! percentiles per endpoint — plus two scaling axes:
-//!
-//! * `connections`: the c10k ladder — a child server process is held
-//!   at 100 / 1,000 / `--connections` (default 10,000) open keep-alive
-//!   connections while round-robin predict load measures throughput
-//!   and p99 at each rung.
-//! * `shards`: fleet scaling — for 1 / 2 / 4 shard processes behind an
-//!   in-process `comet-router`, the same predict mix measures
-//!   routed throughput.
-//!
-//! `--baseline FILE` merges a previously captured BENCH_serve.json as
-//! the `baseline` section with `speedup` ratios; a baseline written
-//! under a different serve schema is refused unless
-//! `--allow-schema-mismatch` is passed.
+//! The binary serves until Ctrl-C or SIGTERM (graceful drain; a
+//! second Ctrl-C aborts). `--supervised` makes stdin EOF a third drain
+//! trigger, which is how `comet-supervisor` asks its children to drain
+//! without signals. The `--chaos-*` flags enable seeded in-server fault
+//! injection (worker panics) for the chaos harness — never use them in
+//! real serving.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::io::Read;
 
 use comet_core::cancel::{install_sigint, install_sigterm};
 use comet_serve::route::ShardSpec;
-use comet_serve::{ChaosConfig, ModelKind, Router, RouterConfig, ServeConfig, Server};
-use serde_json::json;
-
-/// BENCH_serve.json envelope schema. Bumped to 2 when the epoll front
-/// end added the `connections` and `shards` scaling axes — schema-1
-/// baselines measured the threaded accept loop and are not comparable.
-const SERVE_SCHEMA: u64 = 2;
+use comet_serve::{ChaosConfig, ModelKind, ServeConfig, Server};
 
 struct Args {
     config: ServeConfig,
@@ -73,13 +41,6 @@ struct Args {
     supervised: bool,
     chaos_seed: u64,
     chaos_panic_rate: f64,
-    bench_client: bool,
-    duration_secs: u64,
-    clients: usize,
-    connections: usize,
-    baseline: Option<String>,
-    allow_schema_mismatch: bool,
-    out: String,
 }
 
 fn usage() -> ! {
@@ -90,10 +51,7 @@ fn usage() -> ! {
          \x20                  [--batch N] [--search-pool N] [--idle-timeout-ms MS]\n\
          \x20                  [--admission-target-ms MS] [--supervised]\n\
          \x20                  [--registry DIR] [--probation-requests N] [--store PATH]\n\
-         \x20                  [--chaos-seed N] [--chaos-panic-rate F] [--force-scalar]\n\
-         \x20                  [--bench-client] [--duration-secs S] [--clients N]\n\
-         \x20                  [--connections N] [--baseline FILE] [--allow-schema-mismatch]\n\
-         \x20                  [--out FILE]"
+         \x20                  [--chaos-seed N] [--chaos-panic-rate F] [--force-scalar]"
     );
     std::process::exit(2);
 }
@@ -105,13 +63,6 @@ fn parse_args() -> Args {
         supervised: false,
         chaos_seed: 0,
         chaos_panic_rate: 0.0,
-        bench_client: false,
-        duration_secs: 5,
-        clients: 8,
-        connections: 10_000,
-        baseline: None,
-        allow_schema_mismatch: false,
-        out: "BENCH_serve.json".into(),
     };
     // ε 0 means "use the model's paper default" (filled in by start()).
     args.config.epsilon = 0.0;
@@ -170,13 +121,6 @@ fn parse_args() -> Args {
                     usage()
                 });
             }
-            "--bench-client" => args.bench_client = true,
-            "--duration-secs" => args.duration_secs = parse_or_usage(&value("--duration-secs")),
-            "--clients" => args.clients = parse_or_usage(&value("--clients")),
-            "--connections" => args.connections = parse_or_usage(&value("--connections")),
-            "--baseline" => args.baseline = Some(value("--baseline")),
-            "--allow-schema-mismatch" => args.allow_schema_mismatch = true,
-            "--out" => args.out = value("--out"),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("error: unknown argument `{other}`");
@@ -200,14 +144,6 @@ fn main() {
         args.config.chaos =
             Some(ChaosConfig { worker_panic_rate: args.chaos_panic_rate, seed: args.chaos_seed });
     }
-    if args.bench_client {
-        // The bench run owns its own loopback server; never fight a
-        // user-supplied address for the port.
-        args.config.addr = "127.0.0.1:0".into();
-        bench_client(args);
-        return;
-    }
-
     let server = match Server::start(args.model, args.config.clone()) {
         Ok(server) => server,
         Err(e) => {
@@ -240,662 +176,4 @@ fn main() {
     );
     server.join();
     eprintln!("[comet-serve] drained, bye");
-}
-
-// ---------------------------------------------------------------------------
-// Bench client: loopback load generation against an in-process server.
-// ---------------------------------------------------------------------------
-
-/// Blocks the load mix cycles through — small/medium/port-pressure
-/// shapes so the cache sees repetition but not a single key.
-const BENCH_BLOCKS: [&str; 4] = [
-    "add rcx, rax\nmov rdx, rcx\npop rbx",
-    "mov ecx, edx\nxor edx, edx\nlea rax, [rcx + rax - 1]\ndiv rcx\nmov rdx, rcx\nimul rax, rcx",
-    "div rcx",
-    "imul rax, rcx\nadd rcx, rax\nnop",
-];
-
-/// Send one request over a fresh connection; returns (status, µs).
-/// One-shot connections make every request visible to the shed path,
-/// which is the behaviour under test.
-fn one_shot(addr: std::net::SocketAddr, request: &str) -> Option<(u16, u64)> {
-    let start = Instant::now();
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(30))).ok()?;
-    stream.write_all(request.as_bytes()).ok()?;
-    let mut reader = BufReader::new(&stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).ok()?;
-    let status: u16 = status_line.split_whitespace().nth(1)?.parse().ok()?;
-    // Drain headers + body so the server never sees a reset mid-write.
-    let mut rest = Vec::new();
-    let _ = reader.read_to_end(&mut rest);
-    Some((status, start.elapsed().as_micros() as u64))
-}
-
-fn post(path: &str, body: &str) -> String {
-    format!(
-        "POST {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-}
-
-/// Percentile over a sorted latency sample, µs.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-#[derive(Default)]
-struct Tally {
-    ok: AtomicU64,
-    shed: AtomicU64,
-    other: AtomicU64,
-}
-
-fn run_phase(
-    addr: std::net::SocketAddr,
-    clients: usize,
-    duration: Duration,
-    make_request: impl Fn(usize, u64) -> String + Send + Sync,
-) -> (Tally, Vec<u64>) {
-    let tally = Tally::default();
-    let stop = AtomicBool::new(false);
-    let latencies = std::sync::Mutex::new(Vec::<u64>::new());
-    std::thread::scope(|scope| {
-        for client in 0..clients {
-            let tally = &tally;
-            let stop = &stop;
-            let latencies = &latencies;
-            let make_request = &make_request;
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                let mut i = 0u64;
-                while !stop.load(Relaxed) {
-                    let request = make_request(client, i);
-                    i += 1;
-                    match one_shot(addr, &request) {
-                        Some((200, us)) => {
-                            tally.ok.fetch_add(1, Relaxed);
-                            local.push(us);
-                        }
-                        Some((503, _)) => {
-                            tally.shed.fetch_add(1, Relaxed);
-                        }
-                        Some(_) | None => {
-                            tally.other.fetch_add(1, Relaxed);
-                        }
-                    }
-                }
-                latencies.lock().unwrap().extend(local);
-            });
-        }
-        std::thread::sleep(duration);
-        stop.store(true, Relaxed);
-    });
-    let mut all = latencies.into_inner().unwrap();
-    all.sort_unstable();
-    (tally, all)
-}
-
-fn phase_json(name: &str, tally: &Tally, sorted_us: &[u64], secs: f64) -> serde_json::Value {
-    let ok = tally.ok.load(Relaxed);
-    let shed = tally.shed.load(Relaxed);
-    let other = tally.other.load(Relaxed);
-    let total = ok + shed + other;
-    eprintln!(
-        "[bench-serve] {name}: {ok} ok, {shed} shed, {other} other in {secs:.1}s \
-         ({:.0} req/s, p50 {}µs, p99 {}µs)",
-        total as f64 / secs.max(1e-9),
-        percentile(sorted_us, 0.5),
-        percentile(sorted_us, 0.99),
-    );
-    json!({
-        "requests": total,
-        "ok": ok,
-        "shed": shed,
-        "errors": other,
-        "req_per_sec": total as f64 / secs.max(1e-9),
-        "shed_rate": if total > 0 { shed as f64 / total as f64 } else { 0.0 },
-        "p50_us": percentile(sorted_us, 0.5),
-        "p90_us": percentile(sorted_us, 0.9),
-        "p99_us": percentile(sorted_us, 0.99),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Scaling axes: child server processes, a c10k connection ladder, and
-// a sharded fleet behind an in-process router.
-// ---------------------------------------------------------------------------
-
-/// A comet-serve child process (the same binary re-invoked in serve
-/// mode). Out-of-process because the c10k rung needs ~N fds on each
-/// side of the loopback — one process holding both halves would need
-/// double the fd budget.
-struct ChildServer {
-    child: std::process::Child,
-    addr: std::net::SocketAddr,
-}
-
-fn spawn_child_server(model: ModelKind, workers: usize, extra: &[String]) -> ChildServer {
-    use std::process::{Command, Stdio};
-    let exe = std::env::current_exe().expect("own binary path");
-    let mut child = Command::new(exe)
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--model")
-        .arg(model.label())
-        .arg("--workers")
-        .arg(workers.to_string())
-        .arg("--supervised")
-        .args(extra)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn child comet-serve");
-    // The child announces its bound port on stderr; read lines until
-    // the announcement, then keep draining in the background so the
-    // pipe never backs up into the child.
-    let mut reader = BufReader::new(child.stderr.take().expect("child stderr piped"));
-    let addr = loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-            panic!("child server exited before announcing its address");
-        }
-        if let Some(rest) = line.split("listening on ").nth(1) {
-            let token = rest.split_whitespace().next().expect("address token");
-            break token.parse().expect("child address parses");
-        }
-    };
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        loop {
-            sink.clear();
-            if reader.read_line(&mut sink).unwrap_or(0) == 0 {
-                return;
-            }
-        }
-    });
-    ChildServer { child, addr }
-}
-
-impl ChildServer {
-    /// Graceful drain: the child runs `--supervised`, so closing its
-    /// stdin is the drain request.
-    fn drain(mut self) {
-        drop(self.child.stdin.take());
-        let _ = self.child.wait();
-    }
-}
-
-/// One held-open keep-alive connection of the c10k ladder.
-struct KeepAliveConn {
-    reader: BufReader<TcpStream>,
-}
-
-impl KeepAliveConn {
-    fn connect(addr: std::net::SocketAddr) -> std::io::Result<KeepAliveConn> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        stream.set_nodelay(true)?;
-        Ok(KeepAliveConn { reader: BufReader::new(stream) })
-    }
-
-    /// One request/response round trip without closing the socket.
-    /// Returns (status, µs), or `None` on any transport failure.
-    fn call(&mut self, request: &[u8]) -> Option<(u16, u64)> {
-        let start = Instant::now();
-        self.reader.get_ref().write_all(request).ok()?;
-        let mut line = String::new();
-        self.reader.read_line(&mut line).ok()?;
-        let status: u16 = line.split_whitespace().nth(1)?.parse().ok()?;
-        let mut content_length = 0usize;
-        loop {
-            line.clear();
-            if self.reader.read_line(&mut line).ok()? == 0 {
-                return None;
-            }
-            let trimmed = line.trim_end();
-            if trimmed.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = trimmed.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().ok()?;
-                }
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).ok()?;
-        Some((status, start.elapsed().as_micros() as u64))
-    }
-}
-
-fn post_keepalive(path: &str, body: &str) -> Vec<u8> {
-    format!("POST {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}", body.len())
-        .into_bytes()
-}
-
-/// One rung of the connection ladder: hold `target` keep-alive
-/// connections open against `addr` and sweep predict load round-robin
-/// across all of them from a handful of driver threads for
-/// `duration`. Every connection both exists (fd pressure on the
-/// reactors) and carries requests (the sweep), which is what "sustains
-/// N concurrent connections" means here.
-fn connection_rung(
-    addr: std::net::SocketAddr,
-    target: usize,
-    duration: Duration,
-) -> serde_json::Value {
-    // Connect storm from several threads: serially connecting 10k
-    // sockets on a busy single-core box can outlast the server's idle
-    // reaper, which would kill the early connections before the sweep
-    // ever touches them.
-    let connect_failures = AtomicU64::new(0);
-    let conn_sink = std::sync::Mutex::new(Vec::with_capacity(target));
-    std::thread::scope(|scope| {
-        const CONNECTORS: usize = 8;
-        for part in 0..CONNECTORS {
-            let quota = target / CONNECTORS + usize::from(part < target % CONNECTORS);
-            let (conn_sink, connect_failures) = (&conn_sink, &connect_failures);
-            scope.spawn(move || {
-                let mut mine = Vec::with_capacity(quota);
-                for _ in 0..quota {
-                    match KeepAliveConn::connect(addr) {
-                        Ok(conn) => mine.push(Some(conn)),
-                        Err(_) => {
-                            connect_failures.fetch_add(1, Relaxed);
-                        }
-                    }
-                }
-                conn_sink.lock().unwrap().extend(mine);
-            });
-        }
-    });
-    let mut conns: Vec<Option<KeepAliveConn>> = conn_sink.into_inner().unwrap();
-    let connect_failures = connect_failures.load(Relaxed);
-    let connected = conns.len();
-    let requests = BENCH_BLOCKS
-        .iter()
-        .map(|block| post_keepalive("/v1/predict", &json!({"v": 1, "block": block}).to_string()))
-        .collect::<Vec<_>>();
-
-    const DRIVERS: usize = 8;
-    let tally = Tally::default();
-    let stop = AtomicBool::new(false);
-    let latencies = std::sync::Mutex::new(Vec::<u64>::new());
-    // Every non-200 outcome stays attributable: a status histogram
-    // plus a transport-failure count, so "zero unexplained 5xx" is
-    // checkable from the report rather than asserted.
-    let statuses = std::sync::Mutex::new(std::collections::BTreeMap::<u16, u64>::new());
-    let transport_errors = AtomicU64::new(0);
-    let chunk = conns.len().div_ceil(DRIVERS).max(1);
-    std::thread::scope(|scope| {
-        let mut rest = conns.as_mut_slice();
-        let mut offset = 0usize;
-        while !rest.is_empty() {
-            let (mine, tail) = rest.split_at_mut(chunk.min(rest.len()));
-            rest = tail;
-            let (tally, stop, latencies, requests) = (&tally, &stop, &latencies, &requests);
-            let (statuses, transport_errors) = (&statuses, &transport_errors);
-            let base = offset;
-            offset += mine.len();
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                let mut round = 0usize;
-                'sweep: loop {
-                    let mut alive = false;
-                    for (i, slot) in mine.iter_mut().enumerate() {
-                        if stop.load(Relaxed) {
-                            break 'sweep;
-                        }
-                        let Some(conn) = slot else { continue };
-                        alive = true;
-                        let request = &requests[(base + i + round) % requests.len()];
-                        match conn.call(request) {
-                            Some((200, us)) => {
-                                tally.ok.fetch_add(1, Relaxed);
-                                local.push(us);
-                            }
-                            Some((503, _)) => {
-                                tally.shed.fetch_add(1, Relaxed);
-                            }
-                            Some((status, _)) => {
-                                tally.other.fetch_add(1, Relaxed);
-                                *statuses.lock().unwrap().entry(status).or_insert(0) += 1;
-                            }
-                            None => {
-                                // A dead socket is one failure, not a
-                                // failure per sweep: retire it.
-                                tally.other.fetch_add(1, Relaxed);
-                                transport_errors.fetch_add(1, Relaxed);
-                                *slot = None;
-                            }
-                        }
-                    }
-                    if !alive {
-                        break;
-                    }
-                    round += 1;
-                }
-                latencies.lock().unwrap().extend(local);
-            });
-        }
-        std::thread::sleep(duration);
-        stop.store(true, Relaxed);
-    });
-    let mut sorted = latencies.into_inner().unwrap();
-    sorted.sort_unstable();
-    let secs = duration.as_secs_f64();
-    let statuses = statuses.into_inner().unwrap();
-    let transport_errors = transport_errors.load(Relaxed);
-    if !statuses.is_empty() || transport_errors > 0 {
-        eprintln!(
-            "[bench-serve] connections={target}: non-200 statuses {statuses:?}, \
-             {transport_errors} transport failures"
-        );
-    }
-    let held = conns.iter().flatten().count();
-    let mut value = phase_json(&format!("connections={target}"), &tally, &sorted, secs);
-    if let serde_json::Value::Object(map) = &mut value {
-        map.insert("connections".into(), json!(target));
-        map.insert("connected".into(), json!(connected));
-        map.insert("held".into(), json!(held));
-        map.insert("connect_failures".into(), json!(connect_failures));
-        map.insert(
-            "statuses".into(),
-            json!(statuses
-                .into_iter()
-                .map(|(status, count)| (status.to_string(), count))
-                .collect::<std::collections::BTreeMap<_, _>>()),
-        );
-        map.insert("transport_errors".into(), json!(transport_errors));
-    }
-    value
-}
-
-/// The `connections` axis: a fresh child server held at each rung of
-/// the ladder. Rungs are clamped to the fd budget (best-effort raised
-/// first) so the axis degrades gracefully on tight containers instead
-/// of dying on EMFILE.
-fn bench_connections_axis(args: &Args, smoke: bool) -> serde_json::Value {
-    let want = (args.connections as u64).saturating_mul(2).saturating_add(2_048);
-    let limit = comet_serve::sys::raise_nofile_limit(want);
-    let cap = (limit.saturating_sub(1_024) as usize).max(64);
-    let peak = args.connections.min(cap);
-    if peak < args.connections {
-        eprintln!(
-            "[bench-serve] fd limit {limit} caps the connection ladder at {peak} \
-             (asked for {})",
-            args.connections
-        );
-    }
-    let rungs: Vec<usize> =
-        if smoke { vec![64, 256] } else { vec![(peak / 100).max(64), (peak / 10).max(64), peak] };
-    // The ladder measures holding + serving N connections, not the
-    // idle reaper: give the child an idle budget comfortably past the
-    // connect storm plus the inter-sweep gap at the top rung.
-    let child = spawn_child_server(
-        args.model,
-        args.config.workers,
-        &[
-            "--event-threads".into(),
-            args.config.event_threads.max(1).to_string(),
-            "--idle-timeout-ms".into(),
-            "60000".into(),
-        ],
-    );
-    let duration = Duration::from_secs(args.duration_secs.max(1));
-    let mut axis = Vec::new();
-    for &rung in &rungs {
-        axis.push(connection_rung(child.addr, rung, duration));
-    }
-    child.drain();
-    json!(axis)
-}
-
-/// The `shards` axis: for each fleet size, spawn that many `--shard
-/// i/M` children, put an in-process router in front, and drive the
-/// predict mix through it. Throughput per fleet size is the scaling
-/// story; on a single-core container the curve is flat-ish, but the
-/// axis proves the fleet path end to end.
-fn bench_shards_axis(args: &Args, smoke: bool) -> serde_json::Value {
-    let fleets: Vec<usize> = if smoke { vec![1, 2] } else { vec![1, 2, 4] };
-    let duration = Duration::from_secs(args.duration_secs.max(1));
-    let mut axis = Vec::new();
-    for &fleet in &fleets {
-        let children: Vec<ChildServer> = (0..fleet)
-            .map(|i| {
-                spawn_child_server(
-                    args.model,
-                    args.config.workers.max(2),
-                    &["--shard".into(), format!("{i}/{fleet}")],
-                )
-            })
-            .collect();
-        let router = Router::start(RouterConfig {
-            shards: children.iter().map(|c| c.addr.to_string()).collect(),
-            ..RouterConfig::default()
-        })
-        .expect("router starts");
-        let (tally, latencies) = run_phase(router.addr(), args.clients, duration, |client, i| {
-            let block = BENCH_BLOCKS[(client + i as usize) % BENCH_BLOCKS.len()];
-            post("/v1/predict", &json!({"v": 1, "block": block}).to_string())
-        });
-        router.shutdown();
-        for child in children {
-            child.drain();
-        }
-        let mut value =
-            phase_json(&format!("shards={fleet}"), &tally, &latencies, duration.as_secs_f64());
-        if let serde_json::Value::Object(map) = &mut value {
-            map.insert("shards".into(), json!(fleet));
-        }
-        axis.push(value);
-    }
-    json!(axis)
-}
-
-/// Load and schema-gate a `--baseline` BENCH_serve.json. Returns its
-/// `current` section. Refusal happens before any bench work so a bad
-/// baseline fails in milliseconds, mirroring bench-report.
-fn load_baseline(args: &Args) -> Option<serde_json::Value> {
-    let path = args.baseline.as_ref()?;
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read baseline {path}: {e}");
-        std::process::exit(1);
-    });
-    let loaded: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("error: cannot parse baseline {path}: {e}");
-        std::process::exit(1);
-    });
-    let schema = loaded.get("schema").and_then(serde_json::Value::as_u64).unwrap_or(0);
-    if schema != SERVE_SCHEMA && !args.allow_schema_mismatch {
-        eprintln!(
-            "error: baseline {path} has schema {schema}, this report is schema {SERVE_SCHEMA}; \
-             refusing to merge (rerun the baseline with this binary, or pass \
-             --allow-schema-mismatch to compare across schemas anyway)"
-        );
-        std::process::exit(1);
-    }
-    Some(loaded.get("current").cloned().unwrap_or(loaded))
-}
-
-/// Throughput ratios current/baseline for the three request phases.
-fn speedups(current: &serde_json::Value, baseline: &serde_json::Value) -> serde_json::Value {
-    let mut out = std::collections::BTreeMap::new();
-    for phase in ["predict", "explain", "store"] {
-        let now = current.get(phase).and_then(|p| p.get("req_per_sec"));
-        let then = baseline.get(phase).and_then(|p| p.get("req_per_sec"));
-        if let (Some(now), Some(then)) =
-            (now.and_then(serde_json::Value::as_f64), then.and_then(serde_json::Value::as_f64))
-        {
-            if then > 0.0 {
-                out.insert(format!("{phase}_req_per_sec"), json!(now / then));
-            }
-        }
-    }
-    serde_json::Value::Object(out)
-}
-
-/// Blocks a bench store covers. Small so the pre-phase build stays in
-/// the low seconds; plenty for hammering the lookup path.
-const BENCH_STORE_BLOCKS: usize = 32;
-
-/// Make sure the bench run has a store to hit: use `--store` if given,
-/// otherwise build a fresh mini-store (model-matched, seed 0, default
-/// ε — the same parameters the explain requests will carry).
-fn ensure_bench_store(args: &mut Args) -> std::path::PathBuf {
-    if let Some(path) = &args.config.store_path {
-        return std::path::PathBuf::from(path);
-    }
-    let out = std::env::temp_dir().join(format!("comet-bench-store-{}.comets", std::process::id()));
-    let cfg = comet_store::BuildConfig {
-        model: comet_store::BuildModel::parse(args.model.label())
-            .expect("serve model kinds are buildable"),
-        blocks: BENCH_STORE_BLOCKS,
-        ..comet_store::BuildConfig::default()
-    };
-    eprintln!("[bench-serve] building {BENCH_STORE_BLOCKS}-block bench store…");
-    let report = comet_store::build_store(&out, &cfg).unwrap_or_else(|e| {
-        eprintln!("error: cannot build bench store: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("[bench-serve] bench store ready ({} records)", report.records);
-    args.config.store_path = Some(out.display().to_string());
-    out
-}
-
-fn bench_client(mut args: Args) {
-    // Validate the baseline before spending minutes on load phases.
-    let baseline = load_baseline(&args);
-    let store_path = ensure_bench_store(&mut args);
-    let store = comet_store::ExplanationStore::open(&store_path).unwrap_or_else(|e| {
-        eprintln!("error: cannot open bench store: {e}");
-        std::process::exit(1);
-    });
-    // Guaranteed-hit request parameters, straight from the store file.
-    let store_texts: Vec<String> = store.iter_texts().map(str::to_string).collect();
-    let store_epsilon = store.provenance().epsilon();
-    let store_seed = store.provenance().seed;
-
-    let server = Server::start(args.model, args.config.clone()).unwrap_or_else(|e| {
-        eprintln!("error: cannot start loopback server: {e}");
-        std::process::exit(1);
-    });
-    let addr = server.addr();
-    let duration = Duration::from_secs(args.duration_secs.max(1));
-    eprintln!(
-        "[bench-serve] loopback server on {addr}, {} clients, {}s per phase",
-        args.clients, args.duration_secs
-    );
-
-    // Phase 1: predict throughput — unique-ish and repeated blocks mixed.
-    let (predict_tally, predict_lat) = run_phase(addr, args.clients, duration, |client, i| {
-        let block = BENCH_BLOCKS[(client + i as usize) % BENCH_BLOCKS.len()];
-        post("/v1/predict", &json!({"v": 1, "block": block}).to_string())
-    });
-
-    // Phase 2: explain throughput with heavy coalescing pressure — all
-    // clients cycle the same (block, seed) pairs concurrently. The
-    // bench blocks are not in the generated store corpus, so these
-    // requests exercise the miss-then-live path.
-    let (explain_tally, explain_lat) = run_phase(addr, args.clients, duration, |_client, i| {
-        let block = BENCH_BLOCKS[(i % 2) as usize];
-        post("/v1/explain", &json!({"v": 1, "block": block, "seed": i % 2}).to_string())
-    });
-
-    // Phase 3: store-hit lookups — every request carries the store's
-    // exact (ε, seed) and a block text read from the store file, so
-    // each is answered from the precomputed store without a search.
-    let (store_tally, store_lat) = run_phase(addr, args.clients, duration, |client, i| {
-        let block = &store_texts[(client + i as usize) % store_texts.len()];
-        post(
-            "/v1/explain",
-            &json!({"v": 1, "block": block, "epsilon": store_epsilon, "seed": store_seed})
-                .to_string(),
-        )
-    });
-
-    let ctx = Arc::clone(server.ctx());
-    server.shutdown();
-
-    // Scaling axes run against child server processes (fd budget: the
-    // c10k rung needs ~N fds on both sides of the loopback).
-    let smoke = args.duration_secs <= 2;
-    eprintln!("[bench-serve] connection ladder (target {})…", args.connections);
-    let connections_axis = bench_connections_axis(&args, smoke);
-    eprintln!("[bench-serve] shard fleet scaling…");
-    let shards_axis = bench_shards_axis(&args, smoke);
-
-    let stats = ctx.cache_stats();
-    let metrics = ctx.metrics();
-    let secs = duration.as_secs_f64();
-    // The speedup claim compares server-side handler latencies: the
-    // store-hit histogram (lookup + response) against the live explain
-    // phase's client p50 (which is what BENCH_serve.json has always
-    // reported for explains). A store hit is a binary search over the
-    // file bytes — microseconds against the search's milliseconds.
-    let live_p50_us = percentile(&explain_lat, 0.5) as f64;
-    let hit_p50_us = metrics.store_hit_latency().quantile_us(0.5);
-    let hit_p99_us = metrics.store_hit_latency().quantile_us(0.99);
-    let mut store_axis = phase_json("store", &store_tally, &store_lat, secs);
-    if let serde_json::Value::Object(map) = &mut store_axis {
-        map.insert("records".into(), json!(store_texts.len()));
-        map.insert("hits".into(), json!(metrics.store_hit_count()));
-        map.insert("misses".into(), json!(metrics.store_miss_count()));
-        map.insert("hit_p50_us".into(), json!(hit_p50_us));
-        map.insert("hit_p99_us".into(), json!(hit_p99_us));
-        map.insert("live_p50_us".into(), json!(live_p50_us));
-        map.insert(
-            "speedup_p50".into(),
-            json!(if hit_p50_us > 0.0 { live_p50_us / hit_p50_us } else { 0.0 }),
-        );
-    }
-    eprintln!(
-        "[bench-serve] store: hit p50 {hit_p50_us:.1}µs vs live p50 {live_p50_us:.0}µs \
-         ({:.0}× speedup)",
-        if hit_p50_us > 0.0 { live_p50_us / hit_p50_us } else { 0.0 }
-    );
-    let mut report = json!({
-        "schema": SERVE_SCHEMA,
-        "mode": if smoke { "smoke" } else { "full" },
-        "current": {
-            "predict": phase_json("predict", &predict_tally, &predict_lat, secs),
-            "explain": phase_json("explain", &explain_tally, &explain_lat, secs),
-            "store": store_axis,
-            "connections": connections_axis,
-            "shards": shards_axis,
-            "server": {
-                "workers": args.config.workers,
-                "queue_depth": args.config.queue_depth,
-                "event_threads": args.config.event_threads,
-                "batch": args.config.batch,
-                "search_pool": args.config.search_pool,
-                "shed_total": metrics.shed_count(),
-                "explain_searches": metrics.search_count(),
-                "explain_coalesced": metrics.coalesced_count(),
-                "queries_batched": metrics.queries_batched_total(),
-                "explain_batch_occupancy": metrics.batch_occupancy(
-                    comet_serve::Endpoint::Explain
-                ),
-                "cache_hit_rate": stats.hit_rate(),
-                "cache_entries": stats.entries,
-            },
-        },
-    });
-    if let Some(baseline) = baseline {
-        let speedup = speedups(&report["current"], &baseline);
-        if let serde_json::Value::Object(map) = &mut report {
-            map.insert("baseline".into(), baseline);
-            map.insert("speedup".into(), speedup);
-        }
-    }
-    let text = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&args.out, &text).unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
-    eprintln!("[bench-serve] wrote {}", args.out);
 }

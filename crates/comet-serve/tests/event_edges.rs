@@ -12,6 +12,9 @@ use std::time::{Duration, Instant};
 
 use comet_serve::{ModelKind, ServeConfig, Server};
 
+mod common;
+use common::read_response;
+
 const PREDICT_REQUEST: &str = "POST /v1/predict HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
      Content-Length: 25\r\n\r\n{\"v\":1,\"block\":\"div rcx\"}";
 const PREDICT_GOLDEN: &str = r#"{"v":1,"model":"C_HSW","model_version":1,"prediction":25.0}"#;
@@ -20,28 +23,6 @@ fn start(config_tweak: impl FnOnce(&mut ServeConfig)) -> Server {
     let mut config = ServeConfig { addr: "127.0.0.1:0".into(), workers: 2, ..Default::default() };
     config_tweak(&mut config);
     Server::start(ModelKind::CrudeHaswell, config).expect("bind loopback")
-}
-
-fn read_response(stream: &TcpStream) -> (u16, String) {
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf8"))
 }
 
 /// Deterministic split-point generator (splitmix64 core).

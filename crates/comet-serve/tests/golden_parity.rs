@@ -4,47 +4,10 @@
 //! (same model, same seeds) — a diff here means the transplant changed
 //! observable behavior, not just plumbing.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
-
 use comet_serve::{ModelKind, ServeConfig, Server};
 
-fn one_shot(addr: SocketAddr, raw: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    stream.write_all(raw.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(&stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf8"))
-}
-
-fn post(path: &str, body: &str) -> String {
-    format!(
-        "POST {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-}
-
-fn get(path: &str) -> String {
-    format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-}
+mod common;
+use common::{get, one_shot, post};
 
 fn start() -> Server {
     Server::start(

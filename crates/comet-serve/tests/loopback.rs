@@ -2,7 +2,7 @@
 //! endpoint, single-flight coalescing, queue-full shedding, and
 //! graceful drain, all against an in-process [`Server`] on port 0.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -12,6 +12,9 @@ use comet_models::{CostModel, CrudeModel, ModelError};
 use comet_serve::server::BoxedModel;
 use comet_serve::{ModelKind, ServeConfig, Server};
 use serde_json::Value;
+
+mod common;
+use common::{get, one_shot, post, read_response, wait_for};
 
 /// A model whose queries block until the test releases a gate. Lets a
 /// test pin a worker inside an explain search at a known point, which
@@ -59,63 +62,12 @@ impl CostModel for GatedModel {
     }
 }
 
-/// One HTTP exchange over a fresh connection; returns (status, body).
-fn one_shot(addr: SocketAddr, raw: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    stream.write_all(raw.as_bytes()).expect("write request");
-    read_response(&stream)
-}
-
-fn read_response(stream: &TcpStream) -> (u16, String) {
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 =
-        status_line.split_whitespace().nth(1).expect("status code").parse().expect("numeric");
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().expect("content-length");
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf8 body"))
-}
-
-fn post(path: &str, body: &str) -> String {
-    format!(
-        "POST {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-}
-
-fn get(path: &str) -> String {
-    format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-}
-
 fn start_crude(workers: usize, queue_depth: usize) -> Server {
     Server::start(
         ModelKind::CrudeHaswell,
         ServeConfig { addr: "127.0.0.1:0".into(), workers, queue_depth, ..ServeConfig::default() },
     )
     .expect("bind loopback")
-}
-
-/// Poll `check` until it passes or ~5s elapse.
-fn wait_for(what: &str, mut check: impl FnMut() -> bool) {
-    let start = Instant::now();
-    while !check() {
-        assert!(start.elapsed() < Duration::from_secs(5), "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
 }
 
 #[test]

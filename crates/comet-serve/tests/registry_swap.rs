@@ -4,54 +4,17 @@
 //! rolled back, registry state survives a restart, and a hammer run
 //! proves responses are never torn across concurrent swaps.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use comet_isa::Microarch;
 use comet_models::{CostModel, CrudeModel};
 use comet_serve::{ModelKind, ServeConfig, Server};
 use serde_json::Value;
 
-/// One HTTP exchange over a fresh connection; returns (status, body).
-fn one_shot(addr: SocketAddr, raw: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    stream.write_all(raw.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(&stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 =
-        status_line.split_whitespace().nth(1).expect("status code").parse().expect("numeric");
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().expect("content-length");
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf8 body"))
-}
-
-fn post(path: &str, body: &str) -> String {
-    format!(
-        "POST {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-}
-
-fn get(path: &str) -> String {
-    format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-}
+mod common;
+use common::{get, one_shot, post, wait_for};
 
 fn json(body: &str) -> Value {
     serde_json::from_str(body).unwrap_or_else(|e| panic!("bad json ({e}): {body}"))
@@ -92,15 +55,6 @@ fn start(registry_dir: Option<String>, probation_requests: u64) -> Server {
         },
     )
     .expect("bind loopback")
-}
-
-/// Poll `check` until it passes or ~5s elapse.
-fn wait_for(what: &str, mut check: impl FnMut() -> bool) {
-    let start = Instant::now();
-    while !check() {
-        assert!(start.elapsed() < Duration::from_secs(5), "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
 }
 
 // A block whose cost actually differs between the two crude
