@@ -123,9 +123,9 @@ fn sync_parent_dir(path: &Path) {
     let _ = path;
 }
 
-/// Write a corpus as pretty-printed JSON, atomically (see the
-/// [module docs](self)): a crash mid-save cannot corrupt an existing
-/// corpus file.
+/// Write a corpus as pretty-printed JSON, atomically (temporary file,
+/// fsync, rename): a crash mid-save cannot corrupt an existing corpus
+/// file.
 ///
 /// # Errors
 ///
@@ -137,8 +137,9 @@ pub fn save_corpus(corpus: &Corpus, path: impl AsRef<Path>) -> Result<(), Corpus
 }
 
 /// Load a corpus previously written by [`save_corpus`], quarantining
-/// bad records instead of failing the load (see the [module
-/// docs](self)). Emits a warning on stderr when anything is dropped.
+/// bad records to a `<path>.quarantine.jsonl` sidecar instead of
+/// failing the load. Emits a warning on stderr when anything is
+/// dropped.
 ///
 /// # Errors
 ///

@@ -106,7 +106,7 @@ impl FeaturePool {
 /// Masks are only meaningful relative to the pool that produced them;
 /// comparing or combining masks from different pools is a logic error
 /// (not detected). All operations are allocation-free for pools of up
-/// to [`INLINE_BITS`] features; larger pools allocate once per mask.
+/// to 128 features; larger pools allocate once per mask.
 ///
 /// `Eq`/`Hash` are derived, which is sound because all masks of one
 /// pool share a representation variant and a word count, and unused
@@ -242,8 +242,9 @@ impl FeatureMask {
 
 /// SplitMix64 finalizer: a cheap, statistically strong bijective mixer
 /// (Steele et al., "Fast splittable pseudorandom number generators").
-/// Used to derive independent RNG streams from structured counters.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// Used to derive independent RNG streams from structured counters,
+/// and by the serving chaos and supervisor-jitter schedules.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -3,12 +3,13 @@
 //! Bernoulli bounds and coverage estimated empirically over a shared
 //! pool of unconstrained perturbations.
 //!
-//! The model is treated as an untrusted black box: every query goes
-//! through the fallible [`CostModel::try_predict`] or
-//! [`CostModel::predict_batch`], individual query failures are
-//! tolerated (the sample is skipped, the fault counted, the budget
-//! charged), and [`Explainer::explain`] returns a typed
-//! [`ExplainError`] only when no explanation can be produced at all.
+//! The model is treated as an untrusted black box: the original block
+//! is queried once through the fallible [`CostModel::try_predict`], and
+//! every sampled draw goes through [`CostModel::predict_batch`].
+//! Individual query failures are tolerated (the sample is skipped, the
+//! fault counted, the budget charged), and [`Explainer::explain`]
+//! returns a typed [`ExplainError`] only when no explanation can be
+//! produced at all.
 //!
 //! There is one search engine, [`Explainer::explain_batched`]; every
 //! draw takes its RNG stream from the explanation seed and a per-mask
@@ -245,16 +246,6 @@ impl Explanation {
         crate::feature::format_feature_set(&self.features)
     }
 
-    /// Model queries per wall-clock second, the search's throughput.
-    /// Zero when no duration was recorded (e.g. deserialized records).
-    pub fn queries_per_sec(&self) -> f64 {
-        if self.duration_secs > 0.0 {
-            self.queries as f64 / self.duration_secs
-        } else {
-            0.0
-        }
-    }
-
     /// Fraction of the explanation's features of each kind, in
     /// [`FeatureKind`](crate::feature::FeatureKind)`::ALL` order
     /// (`[inst, dep, eta]`). All zeros for an empty feature set.
@@ -374,22 +365,7 @@ pub struct BatchExec {
     batch: usize,
     batched_queries: AtomicU64,
     batch_chunks: AtomicU64,
-    inline_queries: AtomicU64,
-    /// EWMA nanoseconds per draw through the batched dispatch path
-    /// (f64 bits; 0 = no observation yet).
-    batched_ns: AtomicU64,
-    /// EWMA nanoseconds per draw through the inline dispatch path.
-    inline_ns: AtomicU64,
-    /// Rounds dispatched since the adaptive choice became informed;
-    /// drives periodic probing of the slower path.
-    probe_counter: AtomicU64,
 }
-
-/// How often the adaptive dispatcher re-probes the currently-slower
-/// path, in rounds, when the two paths are close (within 1.5×) and when
-/// one is clearly dominant.
-const PROBE_INTERVAL_CLOSE: u64 = 32;
-const PROBE_INTERVAL_SKEWED: u64 = 256;
 
 impl BatchExec {
     /// A batch executor issuing model batches of up to `batch` blocks
@@ -402,10 +378,6 @@ impl BatchExec {
             batch: batch.max(1),
             batched_queries: AtomicU64::new(0),
             batch_chunks: AtomicU64::new(0),
-            inline_queries: AtomicU64::new(0),
-            batched_ns: AtomicU64::new(0),
-            inline_ns: AtomicU64::new(0),
-            probe_counter: AtomicU64::new(0),
         }
     }
 
@@ -420,7 +392,8 @@ impl BatchExec {
     }
 
     /// Model queries issued through `predict_batch` so far (cumulative
-    /// across explanations).
+    /// across explanations): every query of every search except the
+    /// one for each original block.
     pub fn queries_batched(&self) -> u64 {
         self.batched_queries.load(Ordering::Relaxed)
     }
@@ -438,54 +411,6 @@ impl BatchExec {
             return 0.0;
         }
         self.queries_batched() as f64 / (chunks * self.batch as u64) as f64
-    }
-
-    /// Model queries issued through the *inline* dispatch path — the
-    /// adaptive degradation that runs a round's draws one by one on the
-    /// calling thread when measurement says batch staging doesn't pay
-    /// (cumulative across explanations).
-    pub fn queries_inline(&self) -> u64 {
-        self.inline_queries.load(Ordering::Relaxed)
-    }
-
-    /// Adaptive mode choice for the next dispatch round: `true` to run
-    /// it batched across the pool, `false` to run it inline.
-    ///
-    /// Until each path has been timed once the choice is forced — first
-    /// batched, then inline — so both EWMAs get seeded; afterwards the
-    /// faster per-draw EWMA wins, with the loser re-probed every
-    /// [`PROBE_INTERVAL_CLOSE`] rounds (every [`PROBE_INTERVAL_SKEWED`]
-    /// when the gap exceeds 1.5×, so a clearly-dominant choice is
-    /// disturbed rarely). For a deterministic model the mode cannot
-    /// change any outcome — both paths evaluate the same counter-seeded
-    /// draws — so this timing feedback never breaks bitwise
-    /// reproducibility.
-    fn choose_batched(&self) -> bool {
-        let batched = f64::from_bits(self.batched_ns.load(Ordering::Relaxed));
-        if batched == 0.0 {
-            return true;
-        }
-        let inline = f64::from_bits(self.inline_ns.load(Ordering::Relaxed));
-        if inline == 0.0 {
-            return false;
-        }
-        let batched_faster = batched <= inline;
-        let ratio = if batched_faster { inline / batched } else { batched / inline };
-        let interval = if ratio > 1.5 { PROBE_INTERVAL_SKEWED } else { PROBE_INTERVAL_CLOSE };
-        let round = self.probe_counter.fetch_add(1, Ordering::Relaxed);
-        if round % interval == interval - 1 {
-            return !batched_faster;
-        }
-        batched_faster
-    }
-
-    /// Fold a round's measured per-draw cost into the chosen path's
-    /// EWMA (weight 0.3 on the new observation).
-    fn observe(&self, batched: bool, ns_per_draw: f64) {
-        let cell = if batched { &self.batched_ns } else { &self.inline_ns };
-        let old = f64::from_bits(cell.load(Ordering::Relaxed));
-        let new = if old == 0.0 { ns_per_draw } else { old * 0.7 + ns_per_draw * 0.3 };
-        cell.store(new.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -605,11 +530,10 @@ impl<M: CostModel + Sync> Explainer<M> {
     /// Explain `block` with an Anchors beam search under KL-LUCB
     /// bounds, its model queries fanned across `exec`'s worker pool in
     /// [`CostModel::predict_batch`] calls of up to [`BatchExec::batch`]
-    /// blocks (or run inline when that measures faster — see
-    /// [`BatchExec::queries_inline`]). The KL-LUCB budget decisions stay
-    /// sequential at *round* granularity: every round's draws are
-    /// planned (and charged) before dispatch, so the bounds observe
-    /// `batch_size` fresh samples at a time whatever the executor.
+    /// blocks. The KL-LUCB budget decisions stay sequential at *round*
+    /// granularity: every round's draws are planned (and charged)
+    /// before dispatch, so the bounds observe `batch_size` fresh
+    /// samples at a time whatever the executor.
     ///
     /// # Determinism
     ///
@@ -688,22 +612,14 @@ impl<M: CostModel + Sync> Explainer<M> {
             return Err(ExplainError::NoFeatures);
         }
 
-        // Dispatch one planned round through whichever path the
-        // executor's adaptive controller picks:
-        //
-        // * *batched* — workers claim chunks of up to `exec.batch`
-        //   draws from a shared cursor, perturb each draw with its own
-        //   counter-derived RNG into a per-worker batch buffer (rebuilt
-        //   in place — no steady-state allocation beyond the model's
-        //   result vector), and issue ONE `predict_batch` per chunk;
-        // * *inline* — the calling thread walks the round's draws one
-        //   by one through `try_predict`, with no batch staging, chunk
-        //   planning, or pool hand-off at all — the degraded mode for
-        //   workloads where those constant costs outweigh any lane win.
-        //
-        // Outcomes land in a per-draw byte array; because each draw's
-        // result depends only on its seed and mask, the filled array is
-        // identical whatever the chunking — and whichever path ran it.
+        // Dispatch one planned round: workers claim chunks of up to
+        // `exec.batch` draws from a shared cursor, perturb each draw
+        // with its own counter-derived RNG into a per-worker batch
+        // buffer (rebuilt in place — no steady-state allocation beyond
+        // the model's result vector), and issue ONE `predict_batch` per
+        // chunk. Outcomes land in a per-draw byte array; because each
+        // draw's result depends only on its seed and mask, the filled
+        // array is identical whatever the chunking.
         let model = &self.model;
         let epsilon = self.config.epsilon;
         let dispatch = |round: &Round, outcomes: &mut Vec<AtomicU8>| {
@@ -714,63 +630,43 @@ impl<M: CostModel + Sync> Explainer<M> {
             if jobs.is_empty() {
                 return;
             }
-            let batched = exec.choose_batched();
-            let round_start = Instant::now();
-            if batched {
-                let cursor = AtomicUsize::new(0);
-                exec.pool.run(&|w| {
-                    let mut guard = lock(&states[w]);
-                    let st = &mut *guard;
-                    loop {
-                        let first = cursor.fetch_add(exec.batch, Ordering::Relaxed);
-                        if first >= jobs.len() {
-                            break;
-                        }
-                        let chunk = &jobs[first..(first + exec.batch).min(jobs.len())];
-                        for (j, &(slot, draw_seed)) in chunk.iter().enumerate() {
-                            let mut rng = StdRng::seed_from_u64(draw_seed);
-                            perturber.perturb_into(&masks[slot], &mut rng, &mut st.scratch);
-                            if st.batch.len() <= j {
-                                st.batch.push(st.scratch.block().clone());
-                            } else {
-                                st.batch[j]
-                                    .rebuild_from(st.scratch.block().iter())
-                                    .expect("perturbed blocks are never empty");
-                            }
-                        }
-                        let results = model.predict_batch(&st.batch[..chunk.len()]);
-                        for (j, result) in results.into_iter().enumerate() {
-                            let code = match result {
-                                // Open ε-ball: with quantized cost
-                                // models (the crude model moves in
-                                // exact quarter-cycle steps) an
-                                // inclusive bound would admit
-                                // genuinely changed predictions.
-                                Ok(cost) => u8::from((cost - prediction).abs() < epsilon),
-                                Err(_) => DRAW_FAULT,
-                            };
-                            outcomes[first + j].store(code, Ordering::Relaxed);
-                        }
-                        exec.batched_queries.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                        exec.batch_chunks.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            } else {
-                let mut guard = lock(&states[0]);
+            let cursor = AtomicUsize::new(0);
+            exec.pool.run(&|w| {
+                let mut guard = lock(&states[w]);
                 let st = &mut *guard;
-                for (i, &(slot, draw_seed)) in jobs.iter().enumerate() {
-                    let mut rng = StdRng::seed_from_u64(draw_seed);
-                    perturber.perturb_into(&masks[slot], &mut rng, &mut st.scratch);
-                    let code = match model.try_predict(st.scratch.block()) {
-                        Ok(cost) => u8::from((cost - prediction).abs() < epsilon),
-                        Err(_) => DRAW_FAULT,
-                    };
-                    outcomes[i].store(code, Ordering::Relaxed);
+                loop {
+                    let first = cursor.fetch_add(exec.batch, Ordering::Relaxed);
+                    if first >= jobs.len() {
+                        break;
+                    }
+                    let chunk = &jobs[first..(first + exec.batch).min(jobs.len())];
+                    for (j, &(slot, draw_seed)) in chunk.iter().enumerate() {
+                        let mut rng = StdRng::seed_from_u64(draw_seed);
+                        perturber.perturb_into(&masks[slot], &mut rng, &mut st.scratch);
+                        if st.batch.len() <= j {
+                            st.batch.push(st.scratch.block().clone());
+                        } else {
+                            st.batch[j]
+                                .rebuild_from(st.scratch.block().iter())
+                                .expect("perturbed blocks are never empty");
+                        }
+                    }
+                    let results = model.predict_batch(&st.batch[..chunk.len()]);
+                    for (j, result) in results.into_iter().enumerate() {
+                        let code = match result {
+                            // Open ε-ball: with quantized cost models
+                            // (the crude model moves in exact
+                            // quarter-cycle steps) an inclusive bound
+                            // would admit genuinely changed predictions.
+                            Ok(cost) => u8::from((cost - prediction).abs() < epsilon),
+                            Err(_) => DRAW_FAULT,
+                        };
+                        outcomes[first + j].store(code, Ordering::Relaxed);
+                    }
+                    exec.batched_queries.fetch_add(chunk.len() as u64, Ordering::Relaxed);
+                    exec.batch_chunks.fetch_add(1, Ordering::Relaxed);
                 }
-                exec.inline_queries.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-            }
-            let ns_per_draw = round_start.elapsed().as_nanos() as f64 / jobs.len() as f64;
-            exec.observe(batched, ns_per_draw);
+            });
         };
 
         // Lifetime draw counters per mask: the backbone of the
@@ -1057,8 +953,8 @@ impl<M: CostModel + Sync> Explainer<M> {
 mod tests {
     use super::*;
     use crate::feature::Feature;
-    use comet_isa::parse_block;
-    use comet_models::{FaultConfig, FaultyModel};
+    use comet_isa::{parse_block, Microarch};
+    use comet_models::{CrudeModel, FaultConfig, FaultyModel};
     use std::sync::atomic::AtomicBool;
 
     /// A cost model that only looks at the block length.
@@ -1227,12 +1123,53 @@ mod tests {
         let exec = BatchExec::new(8, 2);
         let explanation = explainer.explain_batched(&block, 5, &exec).unwrap();
         assert!(explanation.queries <= 200, "queries {}", explanation.queries);
-        // Budget charged == queries dispatched (through either adaptive
-        // path) + the initial prediction.
-        assert_eq!(explanation.queries, exec.queries_batched() + exec.queries_inline() + 1);
-        // The first round always runs batched (it seeds the adaptive
-        // controller), so the batched counters are never zero.
-        assert!(exec.queries_batched() > 0);
+        // Budget charged == queries dispatched + the initial prediction.
+        assert_eq!(explanation.queries, exec.queries_batched() + 1);
+    }
+
+    #[test]
+    fn sampled_draws_only_reach_the_model_through_predict_batch() {
+        /// The crude model, counting how each query reaches it.
+        struct PathCounter {
+            inner: CrudeModel,
+            scalar_calls: AtomicU64,
+            batch_items: AtomicU64,
+        }
+        impl CostModel for PathCounter {
+            fn name(&self) -> &str {
+                "path-counter"
+            }
+            fn predict(&self, block: &BasicBlock) -> f64 {
+                self.inner.predict(block)
+            }
+            fn try_predict(&self, block: &BasicBlock) -> Result<f64, ModelError> {
+                self.scalar_calls.fetch_add(1, Ordering::Relaxed);
+                self.inner.try_predict(block)
+            }
+            fn predict_batch(&self, blocks: &[BasicBlock]) -> Vec<Result<f64, ModelError>> {
+                self.batch_items.fetch_add(blocks.len() as u64, Ordering::Relaxed);
+                self.inner.predict_batch(blocks)
+            }
+        }
+        // The CASE2 golden block of `tests/golden.rs`.
+        let block = parse_block(
+            "mov ecx, edx\nxor edx, edx\nlea rax, [rcx + rax - 1]\ndiv rcx\nmov rdx, rcx\nimul rax, rcx",
+        )
+        .unwrap();
+        let model = PathCounter {
+            inner: CrudeModel::new(Microarch::Haswell),
+            scalar_calls: AtomicU64::new(0),
+            batch_items: AtomicU64::new(0),
+        };
+        let config = ExplainConfig { coverage_samples: 500, ..ExplainConfig::for_crude_model() };
+        let explainer = Explainer::new(model, config);
+        let exec = BatchExec::new(16, 1);
+        let explanation = explainer.explain_batched(&block, 7, &exec).unwrap();
+        let model = explainer.model();
+        assert_eq!(model.scalar_calls.load(Ordering::Relaxed), 1, "only the original block");
+        let items = model.batch_items.load(Ordering::Relaxed);
+        assert_eq!(items, explanation.queries - 1);
+        assert_eq!(items, exec.queries_batched());
     }
 
     #[test]

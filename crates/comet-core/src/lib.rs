@@ -63,7 +63,7 @@ pub mod space;
 pub mod swap;
 
 pub use baselines::{ground_truth, is_accurate, BaselineContext};
-pub use bitset::{FeatureMask, FeaturePool};
+pub use bitset::{splitmix64, FeatureMask, FeaturePool};
 pub use cancel::CancelToken;
 pub use compare::{compare_models, BlockComparison, ComparisonReport};
 pub use explain::{BatchExec, ExplainConfig, ExplainError, Explainer, Explanation};

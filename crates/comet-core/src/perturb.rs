@@ -222,8 +222,8 @@ impl<'a> Perturber<'a> {
     /// Preserved features are guaranteed to be in
     /// [`PerturbedBlock::surviving`]; on the rare stochastic
     /// interactions that would violate one, the draw is retried, and
-    /// after [`MAX_ATTEMPTS`] the unperturbed block is returned (the
-    /// identity perturbation — β ∈ Π(F) by definition).
+    /// after a bounded number of attempts the unperturbed block is
+    /// returned (the identity perturbation — β ∈ Π(F) by definition).
     ///
     /// Allocating wrapper around [`Perturber::perturb_into`]; sampling
     /// loops should hold a [`PerturbScratch`] and call that instead.

@@ -22,7 +22,7 @@ pub fn kl_bernoulli(p: f64, q: f64) -> f64 {
 /// Upper confidence bound: the largest `q >= p_hat` with
 /// `n * kl(p_hat, q) <= beta`.
 ///
-/// Solved by guarded Newton iteration (see [`newton_kl`]): the KL
+/// Solved by guarded Newton iteration (see `newton_kl`): the KL
 /// search runs thousands of bound inversions per explanation, and
 /// Newton converges in ~5 iterations where bisection needs 60 — this
 /// inversion is the single hottest non-sampling operation in the

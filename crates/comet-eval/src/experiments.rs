@@ -217,11 +217,9 @@ pub fn try_explain_blocks_durable<M: CostModel + Sync>(
         };
         eprintln!(
             "[perf] {}: {fresh_blocks} blocks explained in {fresh_secs:.2}s worker time \
-             ({fresh_queries} queries, {:.0} queries/sec; {:.1}% batched, \
-             batch occupancy {occupancy:.2})",
+             ({fresh_queries} queries, {:.0} queries/sec; batch occupancy {occupancy:.2})",
             if key.is_empty() { "batch" } else { key },
             fresh_queries as f64 / fresh_secs,
-            100.0 * batched as f64 / fresh_queries.max(1) as f64,
         );
     }
     Ok(slots)

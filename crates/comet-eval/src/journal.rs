@@ -37,6 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use comet_core::Explanation;
+use comet_models::fnv1a64;
 use serde::{Deserialize, Serialize};
 
 /// Magic tag opening every journal header line (format version 1).
@@ -120,18 +121,6 @@ pub struct Recovery {
     /// Bytes of torn/garbled tail that were truncated away (0 for a
     /// clean journal).
     pub truncated_bytes: u64,
-}
-
-/// FNV-1a 64-bit hash (dependency-free; collision resistance is ample
-/// for torn-write detection, which is an integrity check, not a
-/// security boundary).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// A fingerprint over the parts of a run's configuration that must
@@ -478,13 +467,5 @@ mod tests {
         assert_ne!(fingerprint(&["ab", "c"]), fingerprint(&["a", "bc"]));
         assert_ne!(fingerprint(&["a", "b"]), fingerprint(&["b", "a"]));
         assert_eq!(fingerprint(&["a", "b"]), fingerprint(&["a", "b"]));
-    }
-
-    #[test]
-    fn fnv_matches_known_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

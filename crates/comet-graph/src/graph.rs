@@ -178,7 +178,7 @@ fn for_each_hazard(
 /// full [`BlockGraph`] per sample allocates a `BTreeMap`, per-edge
 /// cause vectors, and per-instruction effect vectors; this scratch
 /// computes exactly the same identity set (it runs the same
-/// [`for_each_hazard`] core) into buffers that are reused across
+/// `for_each_hazard` core) into buffers that are reused across
 /// calls, making steady-state recomputation allocation-free under the
 /// default [`DepConfig`].
 #[derive(Debug, Default, Clone)]

@@ -283,11 +283,6 @@ impl BasicBlock {
         self.insts.iter()
     }
 
-    /// Consume the block, returning its instructions.
-    pub fn into_instructions(self) -> Vec<Instruction> {
-        self.insts
-    }
-
     /// Rebuild this block in place from `insts`, reusing the existing
     /// instruction and operand buffers (each slot is overwritten with
     /// [`Clone::clone_from`]). This is the hot-path counterpart of

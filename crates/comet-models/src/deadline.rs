@@ -33,10 +33,12 @@ use comet_isa::BasicBlock;
 
 use crate::error::{panic_payload_message, ModelError};
 use crate::resilient::ResilienceReport;
-use crate::traits::CostModel;
+use crate::traits::{predict_one, CostModel};
 
-/// A decorator that bounds the wall-clock time of every prediction.
-/// See the [module docs](self) for the abandonment semantics.
+/// A decorator that bounds the wall-clock time of every prediction. A
+/// query past its deadline is abandoned, not killed: its worker thread
+/// is detached and may stay parked in a stalled backend, which
+/// [`DeadlineModel::timeouts`] makes observable.
 #[derive(Debug)]
 pub struct DeadlineModel<M> {
     inner: Arc<M>,
@@ -88,9 +90,7 @@ impl<M: CostModel + Send + Sync + 'static> CostModel for DeadlineModel<M> {
     /// A batch of one: one `deadline` of wall clock, one timeout
     /// counted on expiry, and panics mapped as on the batch path.
     fn try_predict(&self, block: &BasicBlock) -> Result<f64, ModelError> {
-        self.predict_batch(std::slice::from_ref(block)).pop().unwrap_or_else(|| {
-            Err(ModelError::Panic { message: "batch of one returned no result".into() })
-        })
+        predict_one(self, block)
     }
 
     /// Batch path: the whole batch runs as *one* guarded inner

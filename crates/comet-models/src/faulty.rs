@@ -117,8 +117,9 @@ struct FaultState {
     stats: FaultStats,
 }
 
-/// A fault-injection decorator around any cost model. See the
-/// [module docs](self).
+/// A fault-injection decorator around any cost model: the failure
+/// classes of the [`ModelError`] taxonomy at the seeded per-query
+/// rates of a [`FaultConfig`], so every run is reproducible.
 #[derive(Debug)]
 pub struct FaultyModel<M> {
     inner: M,
@@ -216,8 +217,8 @@ impl<M: CostModel> CostModel for FaultyModel<M> {
     /// The *infallible* view injects faults physically: NaN/Inf leak
     /// out as values and panic faults genuinely panic (transient faults
     /// panic too — an infallible API has no other channel). This is the
-    /// path that exercises [`catch_prediction`] and panic-safe callers
-    /// like `par_map`.
+    /// path that exercises [`catch_prediction`](crate::catch_prediction)
+    /// and panic-safe callers like `par_map`.
     fn predict(&self, block: &BasicBlock) -> f64 {
         match self.draw() {
             Fault::Nan => f64::NAN,

@@ -44,6 +44,7 @@ mod deadline;
 mod error;
 mod faulty;
 mod ithemal;
+mod kind;
 mod metrics;
 mod registry;
 mod resilient;
@@ -57,9 +58,10 @@ pub use deadline::DeadlineModel;
 pub use error::{catch_prediction, panic_payload_message, ModelError};
 pub use faulty::{FaultConfig, FaultStats, FaultyModel};
 pub use ithemal::{IthemalConfig, IthemalSurrogate};
+pub use kind::ModelKind;
 pub use metrics::{mape, mean_std};
 pub use registry::{fnv1a64, ModelRegistry, ModelSnapshot, RegistryRecovery, SnapshotInfo};
 pub use resilient::{NoFallback, ResilienceReport, ResilientConfig, ResilientModel};
 pub use simulated::{HardwareOracle, UicaSurrogate};
 pub use tokenize::{Vocab, IMM, MEM_CLOSE, MEM_OPEN, UNK};
-pub use traits::{CachedModel, CostModel, QueryStats};
+pub use traits::{predict_one, CachedModel, CostModel, QueryStats};

@@ -47,8 +47,11 @@ const MANIFEST_MAGIC: &str = "COMETR1";
 /// The manifest file name.
 const MANIFEST: &str = "MANIFEST";
 
-/// 64-bit FNV-1a (same parameters as the eval journal and the
-/// prediction-cache key hash).
+/// 64-bit FNV-1a: the one byte hash of the workspace. Registry
+/// records, eval-journal lines and store sections use it as a
+/// checksum, the store and the serving fleet's ring as a key. Stable by
+/// construction (the constants are the spec), so files written and
+/// routers built by older versions still agree.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -357,6 +360,14 @@ fn read_snapshot(path: &Path) -> io::Result<ModelSnapshot> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    #[test]
+    fn fnv_matches_known_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
 
     /// Fresh per-test scratch directory (no tempfile crate in-tree).
     fn scratch(tag: &str) -> PathBuf {

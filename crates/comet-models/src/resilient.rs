@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::ModelError;
-use crate::traits::CostModel;
+use crate::traits::{predict_one, CostModel};
 
 /// Retry/circuit-breaker parameters for [`ResilientModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,8 +145,9 @@ struct ResilientState {
     report: ResilienceReport,
 }
 
-/// The resilience decorator. See the [module docs](self) for the
-/// retry/breaker/fallback semantics.
+/// The resilience decorator: bounded retries, a circuit breaker and an
+/// optional fallback model, each parameterized and documented by a
+/// [`ResilientConfig`] field.
 #[derive(Debug)]
 pub struct ResilientModel<M, F = NoFallback> {
     inner: M,
@@ -319,17 +320,11 @@ impl<M: CostModel, F: CostModel> ResilientModel<M, F> {
         st.open
     }
 
-    /// Query the inner model with bounded retries and seeded backoff.
-    fn query_inner(&self, block: &BasicBlock) -> Result<f64, ModelError> {
-        let first = self.inner.try_predict(block);
-        self.settle(block, first)
-    }
-
-    /// Finish a query whose *first* inner attempt is already in hand:
-    /// account failures, retry with backoff while the error is
-    /// retryable, and advance the breaker on final failure. Shared by
-    /// the scalar path and the batch path, whose first attempts arrive
-    /// together from one inner `predict_batch` call.
+    /// Finish a query whose *first* inner attempt is already in hand
+    /// (the first attempts of a batch arrive together from one inner
+    /// `predict_batch` call): account failures, retry with seeded
+    /// backoff while the error is retryable — each retry one inner
+    /// `try_predict` — and advance the breaker on final failure.
     fn settle(
         &self,
         block: &BasicBlock,
@@ -395,19 +390,16 @@ impl<M: CostModel, F: CostModel> CostModel for ResilientModel<M, F> {
     }
 
     fn try_predict(&self, block: &BasicBlock) -> Result<f64, ModelError> {
-        match self.route() {
-            Route::Inner | Route::Probe => self.query_inner(block),
-            Route::Fallback => self.fallback_predict(block),
-        }
+        predict_one(self, block)
     }
 
-    /// Batch path: every item is routed in slice order with the same
-    /// per-query bookkeeping as sequential calls, all items the breaker
-    /// lets through form *one* inner `predict_batch` call (so batching
+    /// Every query takes this path (a scalar query is a batch of one):
+    /// each item is routed in slice order, all items the breaker lets
+    /// through form *one* inner `predict_batch` call (so batching
     /// survives this layer down to the backend), and each item's
     /// outcome is then settled in slice order — per-item failure
-    /// accounting, retries, and breaker advancement are identical to
-    /// the scalar path.
+    /// accounting, retries, and breaker advancement are those of a
+    /// sequence of single queries.
     ///
     /// The one batch-granular difference: breaker transitions caused by
     /// *this batch's own* failures take effect between batches, not

@@ -60,6 +60,21 @@ pub trait CostModel {
     }
 }
 
+/// One query as a batch of one: the scalar path of every decorator
+/// whose batch path does the real work ([`CachedModel`],
+/// [`ResilientModel`](crate::ResilientModel),
+/// [`DeadlineModel`](crate::DeadlineModel)), so each keeps one
+/// implementation of its query logic. A batch that comes back without
+/// a result for its one item yields [`ModelError::Panic`].
+pub fn predict_one<M: CostModel + ?Sized>(
+    model: &M,
+    block: &BasicBlock,
+) -> Result<f64, ModelError> {
+    model.predict_batch(std::slice::from_ref(block)).pop().unwrap_or_else(|| {
+        Err(ModelError::Panic { message: "batch of one returned no result".into() })
+    })
+}
+
 impl<M: CostModel + ?Sized> CostModel for &M {
     fn name(&self) -> &str {
         (**self).name()
@@ -126,12 +141,13 @@ const CACHE_SHARDS: usize = 16;
 ///
 /// # Locking
 ///
-/// The cache is striped into [`CACHE_SHARDS`] independently locked
-/// shards selected by the key's high bits; counters are atomics, so no
-/// lock is ever held while acquiring another, and a cache hit takes
-/// exactly one lock, once. A miss re-acquires the same shard lock to
-/// insert after the inner prediction completes — the lock is never
-/// held across the (potentially slow) inner model call.
+/// The cache is striped into 16 independently locked shards selected
+/// by the key's high bits; counters are atomics, so no lock is ever
+/// held while acquiring another. A query takes one lock round per
+/// shard its items touch to look up, and another to insert the misses
+/// after the inner prediction completes — a lock is never held across
+/// the (potentially slow) inner model call. Scalar queries are batches
+/// of one ([`predict_one`]).
 ///
 /// Only finite predictions are cached — errors (and NaN/Inf values)
 /// are re-queried, so a model recovering from a transient fault is not
@@ -300,40 +316,12 @@ impl<M: CostModel> CachedModel<M> {
         self.hits.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
     }
-
-    /// The shard a key lives in. High bits, because the pass-through
-    /// hasher feeds the key's low bits to the map's bucket index — the
-    /// two selectors must not overlap or every shard would use only
-    /// 1/[`CACHE_SHARDS`] of its buckets.
-    fn shard_of(&self, key: u64) -> &Mutex<Shard> {
-        &self.shards[shard_index(key)]
-    }
-
-    /// Cache lookup shared by both prediction paths: one atomic bump,
-    /// one shard lock, no nesting.
-    fn lookup(&self, key: u64) -> Option<f64> {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        let hit = recover(self.shard_of(key)).get(&key).copied();
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Insert a finite prediction, evicting an arbitrary entry if the
-    /// shard is at capacity.
-    fn store(&self, key: u64, value: f64) {
-        let evicted = {
-            let mut shard = recover(self.shard_of(key));
-            store_locked(&mut shard, self.shard_capacity, key, value)
-        };
-        if evicted {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
-/// Index of the shard a key lives in (see [`CachedModel::shard_of`]).
+/// The shard a key lives in. High bits, because the pass-through
+/// hasher feeds the key's low bits to the map's bucket index — the two
+/// selectors must not overlap or every shard would use only
+/// 1/[`CACHE_SHARDS`] of its buckets.
 fn shard_index(key: u64) -> usize {
     (key >> (64 - CACHE_SHARDS.trailing_zeros())) as usize
 }
@@ -358,36 +346,14 @@ impl<M: CostModel> CostModel for CachedModel<M> {
         self.inner.name()
     }
 
+    /// Infallible view: failures surface as NaN (callers wanting the
+    /// error should use [`try_predict`](CostModel::try_predict)).
     fn predict(&self, block: &BasicBlock) -> f64 {
-        let key = block_key(block);
-        if let Some(v) = self.lookup(key) {
-            return v;
-        }
-        let value = self.inner.predict(block);
-        if value.is_finite() {
-            self.store(key, value);
-        }
-        value
+        self.try_predict(block).unwrap_or(f64::NAN)
     }
 
     fn try_predict(&self, block: &BasicBlock) -> Result<f64, ModelError> {
-        let key = block_key(block);
-        if let Some(v) = self.lookup(key) {
-            // Cached values are finite by construction, but an old
-            // entry could predate the finiteness guard; re-check.
-            if v.is_finite() {
-                return Ok(v);
-            }
-        }
-        let value = self.inner.try_predict(block)?;
-        if value.is_finite() {
-            self.store(key, value);
-            Ok(value)
-        } else {
-            // An overridden `try_predict` failed to uphold the
-            // finiteness contract; normalize rather than propagate NaN.
-            Err(ModelError::NonFinite { value })
-        }
+        predict_one(self, block)
     }
 
     /// Batched lookup/miss/store with one lock round per *shard* rather
@@ -395,8 +361,7 @@ impl<M: CostModel> CostModel for CachedModel<M> {
     /// lookup pass, the misses go to the inner model as one
     /// `predict_batch` call (so batching survives the cache layer), and
     /// the finite results are stored with a second per-shard lock
-    /// round. Per-item results are exactly what
-    /// [`try_predict`](CostModel::try_predict) would return.
+    /// round.
     fn predict_batch(&self, blocks: &[BasicBlock]) -> Vec<Result<f64, ModelError>> {
         if blocks.is_empty() {
             return Vec::new();
@@ -414,9 +379,9 @@ impl<M: CostModel> CostModel for CachedModel<M> {
                     continue;
                 }
                 let shard = guard.get_or_insert_with(|| recover(&self.shards[shard_id]));
-                // Cached values are finite by construction; re-check as
-                // in `try_predict` so a stale non-finite entry is
-                // re-queried rather than served.
+                // Cached values are finite by construction; re-check so
+                // a stale non-finite entry is re-queried rather than
+                // served.
                 if let Some(&v) = shard.get(&key) {
                     if v.is_finite() {
                         hits += 1;
@@ -468,8 +433,8 @@ impl<M: CostModel> CostModel for CachedModel<M> {
 
             for (j, &i) in miss_indices.iter().enumerate() {
                 results[i] = Some(match miss_results[j].clone() {
-                    // Normalize like `try_predict`: an overridden inner
-                    // that leaks a non-finite Ok becomes a typed error.
+                    // An overridden inner that leaks a non-finite Ok
+                    // becomes a typed error.
                     Ok(v) if v.is_finite() => Ok(v),
                     Ok(v) => Err(ModelError::NonFinite { value: v }),
                     Err(e) => Err(e),

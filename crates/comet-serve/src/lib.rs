@@ -65,10 +65,11 @@ pub mod timer;
 pub mod wire;
 
 pub use admission::{AdmissionConfig, AdmissionController, ShedReason};
+pub use comet_models::ModelKind;
 pub use lifecycle::ShadowGates;
 pub use metrics::{Endpoint, StatusClass, Tier};
 pub use queue::BoundedQueue;
 pub use route::{Ring, ShardSpec};
 pub use router::{Router, RouterConfig};
-pub use server::{ChaosConfig, ModelKind, ServeConfig, Server};
+pub use server::{ChaosConfig, ServeConfig, Server};
 pub use supervise::{ChildSpec, Supervisor, SupervisorConfig};

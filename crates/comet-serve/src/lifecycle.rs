@@ -2,7 +2,7 @@
 //! and automatic rollback.
 //!
 //! The serving path never sees a half-swapped model. Every request
-//! loads one [`ModelEpoch`] — an immutable `(version, model stack)`
+//! loads one `ModelEpoch` — an immutable `(version, model stack)`
 //! pair — from the server's RCU cell ([`comet_core::SwapCell`]) and
 //! uses only that epoch for the request's lifetime, so a response's
 //! `model_version` field always names the model that actually produced
@@ -32,9 +32,11 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{StatusClass, Tier};
-use crate::server::{BoxedModel, ModelKind, ServerCtx, Stack};
+use crate::server::{BoxedModel, ServerCtx, Stack};
 use crate::wire::{AdminModelRequest, AdminModelResponse, ShadowReport, WIRE_V};
-use comet_models::{CachedModel, CostModel, ModelError, ResilientConfig, ResilientModel};
+use comet_models::{
+    CachedModel, CostModel, ModelError, ModelKind, ResilientConfig, ResilientModel,
+};
 
 /// One published, immutable `(version, model)` pair. Requests capture
 /// an epoch once and never mix state across versions: the prediction

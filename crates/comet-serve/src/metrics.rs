@@ -403,11 +403,6 @@ impl Registry {
         self.shed.load(Relaxed)
     }
 
-    /// Connections shed so far for `reason`.
-    pub fn shed_count_for(&self, reason: ShedReason) -> u64 {
-        self.shed_reasons[reason.index()].load(Relaxed)
-    }
-
     /// Count one explain search served from a degradation-ladder tier.
     pub fn record_tier(&self, tier: Tier) {
         self.tiers[tier.index()].fetch_add(1, Relaxed);
@@ -458,11 +453,6 @@ impl Registry {
     /// Explains coalesced onto an in-flight twin so far.
     pub fn coalesced_count(&self) -> u64 {
         self.coalesced.load(Relaxed)
-    }
-
-    /// Requests recorded for `endpoint` across all status classes.
-    pub fn requests_for(&self, endpoint: Endpoint) -> u64 {
-        self.requests[endpoint.index()].iter().map(|c| c.load(Relaxed)).sum()
     }
 
     /// Update the queue-depth gauge.
@@ -535,11 +525,6 @@ impl Registry {
     /// Update the open-connections gauge (set by the reactors).
     pub fn set_connections(&self, open: u64) {
         self.connections.store(open, Relaxed);
-    }
-
-    /// Open connections right now.
-    pub fn connection_count(&self) -> u64 {
-        self.connections.load(Relaxed)
     }
 
     /// Publish this process's shard identity (`--shard index/count`).

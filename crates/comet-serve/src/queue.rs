@@ -55,9 +55,9 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Blocking pop. Returns `None` only after [`shutdown`]
-    /// (BoundedQueue::shutdown) once every queued item has been
-    /// handed out.
+    /// Blocking pop. Returns `None` only after
+    /// [`shutdown`](BoundedQueue::shutdown) once every queued item has
+    /// been handed out.
     pub fn pop(&self) -> Option<T> {
         let mut state = self.lock();
         loop {

@@ -14,22 +14,7 @@
 //! every key; with a ring, joining shard `M` claims ~`1/(M+1)` of each
 //! existing slice and nothing else moves.
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes` — the fleet's one true key hash. Stable across
-/// versions by construction (the constants are the spec), so a router
-/// and shards built from different commits still agree on ownership.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+use comet_models::fnv1a64;
 
 /// The routing key for a request's block text: the canonical
 /// (parse → Display) form when the block parses — the same
@@ -39,8 +24,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// 400 always comes from the same shard).
 pub fn block_key(text: &str) -> u64 {
     match comet_isa::parse_block(text) {
-        Ok(block) => fnv1a(block.to_string().as_bytes()),
-        Err(_) => fnv1a(text.trim().as_bytes()),
+        Ok(block) => fnv1a64(block.to_string().as_bytes()),
+        Err(_) => fnv1a64(text.trim().as_bytes()),
     }
 }
 
@@ -64,7 +49,7 @@ impl Ring {
         let mut points = Vec::with_capacity((shards * VNODES) as usize);
         for shard in 0..shards {
             for vnode in 0..VNODES {
-                let point = fnv1a(format!("comet-shard-{shard}-vnode-{vnode}").as_bytes());
+                let point = fnv1a64(format!("comet-shard-{shard}-vnode-{vnode}").as_bytes());
                 points.push((point, shard));
             }
         }
@@ -124,14 +109,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn block_key_is_canonicalization_invariant() {
         // Same block, different surface syntax → same key.
         assert_eq!(block_key("add rcx, rax"), block_key("ADD   RCX,  RAX"));
@@ -146,7 +123,7 @@ mod tests {
         let a = Ring::new(4);
         let b = Ring::new(4);
         for i in 0..10_000u64 {
-            let key = fnv1a(&i.to_le_bytes());
+            let key = fnv1a64(&i.to_le_bytes());
             let owner = a.owner(key);
             assert!(owner < 4);
             assert_eq!(owner, b.owner(key), "two rings over the same fleet must agree");
@@ -161,7 +138,7 @@ mod tests {
         let ring = Ring::new(4);
         let mut counts = [0u32; 4];
         for i in 0..10_000u64 {
-            counts[ring.owner(fnv1a(&i.to_le_bytes())) as usize] += 1;
+            counts[ring.owner(fnv1a64(&i.to_le_bytes())) as usize] += 1;
         }
         for (shard, &count) in counts.iter().enumerate() {
             // 256 vnodes keep the imbalance modest; require every
@@ -176,7 +153,7 @@ mod tests {
         let five = Ring::new(5);
         let mut moved = 0u32;
         for i in 0..10_000u64 {
-            let key = fnv1a(&i.to_le_bytes());
+            let key = fnv1a64(&i.to_le_bytes());
             let (before, after) = (four.owner(key), five.owner(key));
             if before != after {
                 moved += 1;

@@ -30,7 +30,7 @@
 //! threads, bounded by `upstream_timeout`.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -568,7 +568,7 @@ impl Router {
         if config.shards.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "no shard addresses"));
         }
-        let listener = TcpListener::bind(&config.addr)?;
+        let listener = crate::sys::bind_listener(&config.addr)?;
         let addr = listener.local_addr()?;
         let ctx = Arc::new(RouterCtx {
             ring: Ring::new(config.shards.len() as u32),
@@ -613,11 +613,6 @@ impl Router {
         &self.ctx.cancel
     }
 
-    /// Address of shard `index`'s upstream, as configured.
-    pub fn shard_addr(&self, index: usize) -> &str {
-        &self.ctx.upstreams[index].addr
-    }
-
     /// Which shard owns `text`'s block (the router's routing decision,
     /// exposed for tests and ops tooling).
     pub fn owner_of_block(&self, text: &str) -> u32 {
@@ -641,6 +636,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn upstream_response_parser_round_trips() {

@@ -7,7 +7,7 @@
 //! connection through nonblocking sockets and a readiness loop; the
 //! `workers` CPU threads only ever see complete, parsed requests and
 //! hand finished response bytes back over a wakeup pipe. This module
-//! supplies the [`event::Service`] implementation: the dispatch table,
+//! supplies the [`Service`] implementation: the dispatch table,
 //! admission policy, metrics, and the chaos schedule.
 //!
 //! Admission is two-layered and per *request*. The adaptive
@@ -34,7 +34,8 @@
 //! a global retry token bucket so a correlated outage cannot turn into
 //! a retry storm — and trips its circuit breaker on a persistently
 //! failing backend. Per-request deadlines compose on top per query
-//! path — see [`DeadlineGate`] and the predict handler's watchdog.
+//! path: a cooperative deadline gate around each explain search, and
+//! the [`DeadlineModel`] watchdog around each single predict.
 //!
 //! Explains ride a **degradation ladder** (full search →
 //! reduced-budget search → stale cached explanation → minimal baseline
@@ -59,7 +60,7 @@
 //! before it starts failing requests.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -69,17 +70,19 @@ use crate::event::{FrontEnd, FrontEndConfig, Service, WorkerHandler};
 use crate::http::{self, HttpError, Request};
 use crate::lifecycle::{self, LifecycleState, ModelEpoch, ShadowGates};
 use crate::metrics::{Endpoint, Registry, StatusClass, Tier};
-use crate::route::{self, Ring, ShardSpec};
+use crate::route::{Ring, ShardSpec};
 use crate::wire::{
     self, decode_request, AdminModelRequest, ErrorResponse, ExplainRequest, ExplainResponse,
     ExplanationDto, PredictRequest, PredictResponse, WIRE_V,
 };
 use comet_core::cancel::CancelToken;
-use comet_core::{BatchExec, ExplainConfig, ExplainError, Explainer, Explanation, SwapCell};
-use comet_isa::{BasicBlock, Microarch};
+use comet_core::{
+    splitmix64, BatchExec, ExplainConfig, ExplainError, Explainer, Explanation, SwapCell,
+};
+use comet_isa::BasicBlock;
 use comet_models::{
-    CachedModel, CostModel, CrudeModel, DeadlineModel, ModelError, ModelRegistry, QueryStats,
-    RegistryRecovery, ResilientModel, UicaSurrogate,
+    fnv1a64, predict_one, CachedModel, CostModel, DeadlineModel, ModelError, ModelKind,
+    ModelRegistry, QueryStats, RegistryRecovery, ResilientModel,
 };
 
 /// A boxed, shareable cost model — the bottom of the serving stack.
@@ -89,48 +92,6 @@ pub type BoxedModel = Box<dyn CostModel + Send + Sync>;
 /// [`ModelEpoch`] owns its own stack, so swapping models invalidates
 /// the prediction cache by construction.
 pub(crate) type Stack = CachedModel<ResilientModel<BoxedModel>>;
-
-/// Which base model the binary serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelKind {
-    /// The paper's interpretable analytical model C on Haswell.
-    CrudeHaswell,
-    /// The analytical model C on Skylake.
-    CrudeSkylake,
-    /// The uiCA surrogate (pipeline simulator) on Haswell.
-    Uica,
-}
-
-impl ModelKind {
-    /// Parse a `--model` argument.
-    pub fn parse(s: &str) -> Option<ModelKind> {
-        match s {
-            "crude" | "crude-haswell" => Some(ModelKind::CrudeHaswell),
-            "crude-skylake" => Some(ModelKind::CrudeSkylake),
-            "uica" => Some(ModelKind::Uica),
-            _ => None,
-        }
-    }
-
-    /// The canonical rebuild-recipe string (round-trips through
-    /// [`ModelKind::parse`] and the registry's snapshot `kind` field).
-    pub fn label(self) -> &'static str {
-        match self {
-            ModelKind::CrudeHaswell => "crude-haswell",
-            ModelKind::CrudeSkylake => "crude-skylake",
-            ModelKind::Uica => "uica",
-        }
-    }
-
-    /// Instantiate the base model and its paper-default ε.
-    pub fn build(self) -> (BoxedModel, f64) {
-        match self {
-            ModelKind::CrudeHaswell => (Box::new(CrudeModel::new(Microarch::Haswell)), 0.25),
-            ModelKind::CrudeSkylake => (Box::new(CrudeModel::new(Microarch::Skylake)), 0.25),
-            ModelKind::Uica => (Box::new(UicaSurrogate::new(Microarch::Haswell)), 0.5),
-        }
-    }
-}
 
 /// Seeded fault injection inside the server itself (distinct from
 /// model-level [`comet_models::FaultyModel`] faults): with probability
@@ -341,22 +302,19 @@ impl CostModel for DeadlineGate<'_> {
     }
 
     fn try_predict(&self, block: &BasicBlock) -> Result<f64, ModelError> {
-        if let Some(err) = self.expired() {
-            return Err(err);
-        }
-        self.inner.try_predict(block)
+        predict_one(self, block)
     }
 
     fn resilience(&self) -> Option<comet_models::ResilienceReport> {
         self.inner.resilience()
     }
 
-    /// Batch path: check the wall-clock budget once per chunk, then
-    /// forward the whole slice to the stack's `predict_batch` (cache
-    /// partitioning and all). Expiry granularity is one chunk — a batch
-    /// admitted just under the deadline runs to completion, which is
-    /// bounded by `batch × per-query cost` (microseconds) and far
-    /// cheaper than checking the clock per item.
+    /// Check the wall-clock budget once per call, then forward the
+    /// whole slice to the stack's `predict_batch` (cache partitioning
+    /// and all). Expiry granularity is one chunk — a batch admitted
+    /// just under the deadline runs to completion, which is bounded by
+    /// `batch × per-query cost` (microseconds) and far cheaper than
+    /// checking the clock per item.
     fn predict_batch(&self, blocks: &[BasicBlock]) -> Vec<Result<f64, ModelError>> {
         if let Some(err) = self.expired() {
             return blocks.iter().map(|_| Err(err.clone())).collect();
@@ -499,7 +457,7 @@ impl Server {
         mut kind_str: String,
         config: ServeConfig,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
+        let listener = crate::sys::bind_listener(&config.addr)?;
         let addr = listener.local_addr()?;
 
         // Registry boot: verify snapshots (quarantining damage), then
@@ -633,14 +591,6 @@ impl Server {
         self.ctx.cancel.cancel();
         self.join();
     }
-}
-
-/// SplitMix64: a tiny, high-quality bit mixer for the chaos schedule.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Whether chaos panics on connection `n` of a run seeded with `seed`.
@@ -1071,7 +1021,7 @@ fn enforce_shard(
     close: bool,
 ) -> Option<StatusClass> {
     let (ring, spec) = ctx.shard.as_ref()?;
-    let owner = ring.owner(route::fnv1a(block.to_string().as_bytes()));
+    let owner = ring.owner(fnv1a64(block.to_string().as_bytes()));
     if owner == spec.index {
         return None;
     }
@@ -1436,19 +1386,6 @@ fn attempt_search(
 mod tests {
     use super::*;
     use comet_models::ResilientConfig;
-
-    #[test]
-    fn model_kind_parses_the_documented_names() {
-        assert_eq!(ModelKind::parse("crude"), Some(ModelKind::CrudeHaswell));
-        assert_eq!(ModelKind::parse("crude-haswell"), Some(ModelKind::CrudeHaswell));
-        assert_eq!(ModelKind::parse("crude-skylake"), Some(ModelKind::CrudeSkylake));
-        assert_eq!(ModelKind::parse("uica"), Some(ModelKind::Uica));
-        assert_eq!(ModelKind::parse("ithemal"), None);
-        // Labels round-trip through parse (the registry relies on it).
-        for kind in [ModelKind::CrudeHaswell, ModelKind::CrudeSkylake, ModelKind::Uica] {
-            assert_eq!(ModelKind::parse(kind.label()), Some(kind));
-        }
-    }
 
     #[test]
     fn deadline_gate_fails_queries_after_expiry() {

@@ -29,6 +29,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use comet_core::cancel::CancelToken;
+use comet_core::splitmix64;
 
 /// What to run in each supervised slot.
 #[derive(Debug, Clone)]
@@ -99,14 +100,6 @@ pub fn backoff_delay(base: Duration, max: Duration, attempt: u32, jitter_unit: f
     let exp = attempt.saturating_sub(1).min(30);
     let raw = base.saturating_mul(1u32 << exp).min(max);
     raw.mul_f64(0.5 + jitter_unit.clamp(0.0, 1.0 - f64::EPSILON))
-}
-
-/// SplitMix64 step (same mixer the serve chaos schedule uses).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One supervised slot's bookkeeping.

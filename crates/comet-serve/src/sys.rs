@@ -4,16 +4,17 @@
 //! `std` exposes nonblocking sockets but no readiness API, and the
 //! workspace policy is std-only (no mio, no libc crate). The process
 //! already links the platform libc through `std`, so declaring the
-//! five functions we need (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
-//! `pipe2`, `close`) is enough. Everything is wrapped in owned types
-//! whose `Drop` closes the descriptor, and every raw return value is
-//! converted to `io::Result` at the boundary — no unsafety leaks out
-//! of this module.
+//! functions we need (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
+//! `pipe2`, `close`, and `listen` for a deeper accept queue) is
+//! enough. Everything is wrapped in owned types whose `Drop` closes the
+//! descriptor, and every raw return value is converted to `io::Result`
+//! at the boundary — no unsafety leaks out of this module.
 
 #![allow(clippy::upper_case_acronyms)]
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::TcpListener;
+use std::os::fd::{AsRawFd, RawFd};
 
 /// Readable readiness (level-triggered).
 pub const EPOLLIN: u32 = 0x001;
@@ -57,6 +58,24 @@ extern "C" {
     fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn listen(fd: i32, backlog: i32) -> i32;
+}
+
+/// Accept-queue length the serving listeners ask for; the kernel caps
+/// it at `net.core.somaxconn`. `TcpListener::bind` asks for 128, and a
+/// connect burst past a full queue loses its SYN and waits about a
+/// second for the retransmit.
+const LISTEN_BACKLOG: i32 = 4096;
+
+/// `TcpListener::bind`, then `listen` again with `LISTEN_BACKLOG`: on
+/// a socket that already listens, Linux resizes its accept queue in
+/// place.
+pub(crate) fn bind_listener(addr: &str) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    // SAFETY: `listen` takes two integers and touches no memory of
+    // ours; the fd stays open while `listener` is alive.
+    cvt(unsafe { listen(listener.as_raw_fd(), LISTEN_BACKLOG) })?;
+    Ok(listener)
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -227,8 +246,8 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
 mod tests {
     use super::*;
     use std::io::Write as _;
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     #[test]
     fn epoll_reports_readable_socket() {
@@ -253,6 +272,22 @@ mod tests {
         assert_ne!({ ready[0].events } & EPOLLIN, 0);
 
         epoll.delete(server.as_raw_fd()).unwrap();
+    }
+
+    #[test]
+    fn deep_backlog_queues_a_connect_burst_nobody_accepts() {
+        raise_nofile_limit(2048);
+        let listener = bind_listener("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Each open connection holds a queue slot. Past a full accept
+        // queue a connect loses its SYN and times out here; std's
+        // backlog of 128 stops at 129.
+        let _held: Vec<TcpStream> = (0..512)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(300))
+                    .unwrap_or_else(|e| panic!("connect {i} of 512 without an accept: {e}"))
+            })
+            .collect();
     }
 
     #[test]

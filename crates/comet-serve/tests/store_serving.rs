@@ -8,7 +8,7 @@
 use std::path::{Path, PathBuf};
 
 use comet_serve::{ModelKind, ServeConfig, Server};
-use comet_store::{build_store, BuildConfig, BuildModel, ExplanationStore};
+use comet_store::{build_store, BuildConfig, ExplanationStore};
 use serde_json::Value;
 
 mod common;
@@ -22,7 +22,7 @@ fn build_test_store(dir: &Path) -> PathBuf {
     std::fs::create_dir_all(dir).unwrap();
     let out = dir.join("store.comets");
     let cfg = BuildConfig {
-        model: BuildModel::CrudeHaswell,
+        model: ModelKind::CrudeHaswell,
         blocks: BLOCKS,
         corpus_seed: CORPUS_SEED,
         ..BuildConfig::default()

@@ -25,61 +25,19 @@ use std::path::{Path, PathBuf};
 use comet_bhive::{classify, Corpus, GenConfig};
 use comet_core::{BatchExec, ExplainConfig, ExplainError, Explainer, Explanation};
 use comet_eval::journal::{atomic_write, fingerprint, Journal, JournalError, JournalRecord};
-use comet_isa::Microarch;
-use comet_models::{CostModel, CrudeModel, UicaSurrogate};
+use comet_models::ModelKind;
 
 use crate::analytics::compute_analytics;
 use crate::format::{write_store, Provenance, StoreRecord};
 use crate::reader::StoreError;
 
-/// Which cost model to explain the corpus under. Labels match
-/// comet-serve's `ModelKind` labels exactly — the serving read path
-/// compares them when deciding whether a store is usable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildModel {
-    /// Crude analytical model, Haswell port model (ε 0.25).
-    CrudeHaswell,
-    /// Crude analytical model, Skylake port model (ε 0.25).
-    CrudeSkylake,
-    /// uiCA-style pipeline-simulator surrogate (ε 0.5).
-    Uica,
-}
-
-impl BuildModel {
-    /// Parse a CLI label (same grammar as `comet-serve --model`).
-    pub fn parse(s: &str) -> Option<BuildModel> {
-        match s {
-            "crude" | "crude-haswell" => Some(BuildModel::CrudeHaswell),
-            "crude-skylake" => Some(BuildModel::CrudeSkylake),
-            "uica" => Some(BuildModel::Uica),
-            _ => None,
-        }
-    }
-
-    /// Canonical label (matches `ModelKind::label` in comet-serve).
-    pub fn label(self) -> &'static str {
-        match self {
-            BuildModel::CrudeHaswell => "crude-haswell",
-            BuildModel::CrudeSkylake => "crude-skylake",
-            BuildModel::Uica => "uica",
-        }
-    }
-
-    /// Instantiate the model and its paper-default ε.
-    pub fn build(self) -> (Box<dyn CostModel + Send + Sync>, f64) {
-        match self {
-            BuildModel::CrudeHaswell => (Box::new(CrudeModel::new(Microarch::Haswell)), 0.25),
-            BuildModel::CrudeSkylake => (Box::new(CrudeModel::new(Microarch::Skylake)), 0.25),
-            BuildModel::Uica => (Box::new(UicaSurrogate::new(Microarch::Haswell)), 0.5),
-        }
-    }
-}
-
 /// Everything a build run is parameterized by.
 #[derive(Debug, Clone)]
 pub struct BuildConfig {
-    /// Model to explain under.
-    pub model: BuildModel,
+    /// Model to explain under. Its label goes into the provenance,
+    /// which the serving read path compares with the model it serves
+    /// before answering from the store.
+    pub model: ModelKind,
     /// Corpus size (blocks to generate and explain).
     pub blocks: usize,
     /// Corpus generation seed (default mirrors comet-eval's corpus).
@@ -104,7 +62,7 @@ pub struct BuildConfig {
 impl Default for BuildConfig {
     fn default() -> BuildConfig {
         BuildConfig {
-            model: BuildModel::CrudeHaswell,
+            model: ModelKind::CrudeHaswell,
             blocks: 64,
             // Same corpus seed comet-eval uses, so store-built and
             // eval-run corpora line up block for block.
@@ -192,14 +150,6 @@ impl From<std::io::Error> for BuildError {
     fn from(e: std::io::Error) -> BuildError {
         BuildError::Io(e)
     }
-}
-
-/// The `ExplainConfig` a build (and the matching serve path) runs
-/// with: paper defaults with ε substituted — exactly how comet-serve
-/// derives its per-request config.
-pub fn effective_config(model: BuildModel, epsilon: Option<f64>) -> ExplainConfig {
-    let (_, default_epsilon) = model.build();
-    ExplainConfig { epsilon: epsilon.unwrap_or(default_epsilon), ..ExplainConfig::default() }
 }
 
 /// Build a store at `out` per `cfg`: generate the corpus, explain

@@ -26,7 +26,7 @@
 //! | 7  | FEAT_INDEX   | Σ × u32 indices into FEAT_TABLE                |
 //! | 8  | IMPORTANCE   | n × 6 × f64 bits (see [`LANES`])               |
 //! | 9  | META         | n × 24 bytes (queries, faults, retries, flags) |
-//! | 10 | ANALYTICS    | JSON [`Analytics`](crate::analytics::Analytics)|
+//! | 10 | ANALYTICS    | JSON [`Analytics`]                             |
 //!
 //! Records are stored in ascending key order so lookups binary-search
 //! the KEYS section directly over the raw bytes — no deserialization
@@ -39,14 +39,14 @@
 //!
 //! Every section is FNV-1a-checksummed independently, so a flipped
 //! byte anywhere — header, keys, payload — fails `open` with a typed
-//! [`StoreError`](crate::reader::StoreError) instead of serving
+//! [`StoreError`] instead of serving
 //! corrupt explanations or panicking.
 
 use comet_bhive::Category;
 use comet_core::{Explanation, Feature, FeatureSet};
-use comet_eval::journal::fnv1a64;
 use comet_graph::DepKind;
 use comet_isa::BasicBlock;
+use comet_models::fnv1a64;
 use serde::{Deserialize, Serialize};
 
 use crate::analytics::Analytics;
@@ -129,8 +129,8 @@ pub fn store_key(canonical_text: &str) -> u64 {
 pub struct Provenance {
     /// Provenance schema version (independent of the file format).
     pub v: u32,
-    /// Model kind label (`crude-haswell` / `crude-skylake` / `uica`),
-    /// matching comet-serve's `ModelKind` labels.
+    /// Model kind label (`crude-haswell` / `crude-skylake` / `uica`):
+    /// a [`ModelKind::label`](comet_models::ModelKind::label).
     pub model_kind: String,
     /// Registry model version the explanations were computed under.
     pub model_version: u64,

@@ -9,11 +9,11 @@
 //!   a BHive corpus through the batched anchors search, write-ahead
 //!   journaling every completed block (resumable, crash-safe), then
 //!   publishes one columnar file atomically.
-//! * **Format** ([`format`], COMETS1): checksummed sections — sorted
-//!   FNV-1a key index, canonical block texts, interned feature tables,
-//!   bit-exact importance lanes, provenance (model kind/version, ε
-//!   bits, seed, kernel) — laid out for binary-search lookup straight
-//!   over the file bytes.
+//! * **Format** ([`format`](mod@format), COMETS1): checksummed
+//!   sections — sorted FNV-1a key index, canonical block texts,
+//!   interned feature tables, bit-exact importance lanes, provenance
+//!   (model kind/version, ε bits, seed, kernel) — laid out for
+//!   binary-search lookup straight over the file bytes.
 //! * **Reader + analytics** ([`ExplanationStore`], [`Analytics`]):
 //!   validated zero-copy lookups that reconstruct explanations bitwise,
 //!   plus build-time per-category and per-opcode importance rollups
@@ -30,6 +30,6 @@ pub mod format;
 pub mod reader;
 
 pub use analytics::{compute_analytics, Analytics, CategoryRollup, OpcodeRollup};
-pub use builder::{build_store, BuildConfig, BuildError, BuildModel, BuildReport};
+pub use builder::{build_store, BuildConfig, BuildError, BuildReport};
 pub use format::{store_key, write_store, Provenance, StoreRecord};
 pub use reader::{peek_provenance, ExplanationStore, StoreError};

@@ -17,7 +17,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use comet_store::{build_store, BuildConfig, BuildModel, ExplanationStore};
+use comet_models::ModelKind;
+use comet_store::{build_store, BuildConfig, ExplanationStore};
 
 fn usage() -> &'static str {
     "usage:\n  comet-store build --out PATH [--model crude-haswell|crude-skylake|uica]\n                    [--blocks N] [--corpus-seed S] [--seed S] [--epsilon E]\n                    [--journal DIR] [--batch N] [--search-pool N]\n                    [--model-version V] [--force-scalar]\n  comet-store info PATH [--sample]"
@@ -54,7 +55,7 @@ fn run_build(args: &[String]) -> ExitCode {
                 Some(v) => out = Some(PathBuf::from(v)),
                 None => return ExitCode::from(2),
             },
-            "--model" => match value("--model").as_deref().and_then(BuildModel::parse) {
+            "--model" => match value("--model").as_deref().and_then(ModelKind::parse) {
                 Some(m) => cfg.model = m,
                 None => {
                     eprintln!("unknown model (expected crude-haswell, crude-skylake, or uica)");

@@ -17,7 +17,7 @@ use std::path::Path;
 
 use comet_bhive::Category;
 use comet_core::Explanation;
-use comet_eval::journal::fnv1a64;
+use comet_models::fnv1a64;
 
 use crate::analytics::Analytics;
 use crate::format::{

@@ -10,7 +10,8 @@
 use comet_bhive::{classify, Category, Corpus, GenConfig};
 use comet_core::{BatchExec, ExplainConfig, Explainer};
 use comet_eval::figures::feature_mix;
-use comet_store::{build_store, BuildConfig, BuildModel, ExplanationStore};
+use comet_models::ModelKind;
+use comet_store::{build_store, BuildConfig, ExplanationStore};
 
 const BLOCKS: usize = 12;
 const CORPUS_SEED: u64 = 0xB10C5;
@@ -19,7 +20,7 @@ const SEED: u64 = 0;
 fn built_store(dir: &std::path::Path) -> ExplanationStore {
     let out = dir.join("golden.comets");
     let cfg = BuildConfig {
-        model: BuildModel::CrudeHaswell,
+        model: ModelKind::CrudeHaswell,
         blocks: BLOCKS,
         corpus_seed: CORPUS_SEED,
         seed: SEED,
@@ -42,7 +43,7 @@ fn store_matches_live_search_bitwise() {
     // The live reference: same model kind, same effective config, same
     // seed, scalar-reference batch geometry (results are invariant to
     // batch/pool, which this also re-checks against the built store).
-    let (model, default_epsilon) = BuildModel::CrudeHaswell.build();
+    let (model, default_epsilon) = ModelKind::CrudeHaswell.build();
     let config = ExplainConfig { epsilon: default_epsilon, ..ExplainConfig::default() };
     assert_eq!(config.epsilon.to_bits(), store.provenance().epsilon_bits);
     let explainer = Explainer::new(model, config);
