@@ -25,7 +25,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Γ's central guarantee: preserved features always survive, and
-    /// the emitted block is always valid.
+    /// the emitted block is always valid — and prints as text that
+    /// parses back to the same block, which is how a Γ sample reaches
+    /// anything that takes blocks as text (the wire, the store).
     #[test]
     fn perturbation_preserves_requested_features(
         block in arb_block(),
@@ -46,6 +48,10 @@ proptest! {
                 "{feature} lost in\n{}",
                 out.block
             );
+            let text = out.block.to_string();
+            let reparsed = comet_isa::parse_block(&text);
+            prop_assert!(reparsed.is_ok(), "{:?} in\n{text}", reparsed.err());
+            prop_assert_eq!(reparsed.unwrap(), out.block.clone(), "round trip of\n{}", text);
         }
     }
 

@@ -124,8 +124,11 @@ impl<M: CostModel + ?Sized> CostModel for Box<M> {
 /// for the worker counts the evaluation harness uses.
 const CACHE_SHARDS: usize = 16;
 
-/// A memoizing wrapper: COMET evaluates many feature sets against
-/// overlapping perturbation samples, so repeated queries are common.
+/// A memoizing wrapper: a repeated query of the same block is answered
+/// from the cache instead of the inner model. It pays where blocks
+/// repeat and an inner query costs more than a lookup; where blocks
+/// seldom repeat, each miss pays for a hash and an insert that no later
+/// query reads.
 ///
 /// # Keys
 ///
@@ -157,8 +160,11 @@ const CACHE_SHARDS: usize = 16;
 ///
 /// By default the cache grows without bound. [`CachedModel::bounded`]
 /// caps the number of live entries; once a shard is full, each new
-/// insert evicts one arbitrary resident entry (cheap, and adequate for
-/// the explainer's highly repetitive query stream).
+/// insert evicts one arbitrary resident entry. That eviction is not
+/// cheap: the victim is the map's first occupied slot, and the scan
+/// for it walks past every slot earlier evictions emptied, so an
+/// insert into a full cache costs more the longer the cache has been
+/// evicting. A cache sized for its working set never evicts.
 #[derive(Debug)]
 pub struct CachedModel<M> {
     inner: M,
@@ -329,7 +335,9 @@ fn shard_index(key: u64) -> usize {
 /// Capacity-respecting insert under an already-held shard lock, so the
 /// batch path can insert a whole shard group in one lock round.
 /// Returns whether a resident entry was evicted, so the caller can
-/// bump the eviction counter outside the lock.
+/// bump the eviction counter outside the lock. The victim is the first
+/// key `shard.keys()` yields, found by a scan that grows with the
+/// emptied slots ahead of it (see [`CachedModel`]'s capacity notes).
 fn store_locked(shard: &mut Shard, capacity: usize, key: u64, value: f64) -> bool {
     let evict = shard.len() >= capacity && !shard.contains_key(&key);
     if evict {

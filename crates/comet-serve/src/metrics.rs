@@ -532,12 +532,15 @@ impl Registry {
         self.shard.store(((count as u64) << 32) | index as u64, Relaxed);
     }
 
-    /// The explain latency histogram (for the bench client's report).
+    /// The explain latency histogram (`comet_request_latency_seconds`):
+    /// the ladder's tier choice reads its p90, and code that embeds a
+    /// server can read its quantiles.
     pub fn explain_latency(&self) -> &Histogram {
         &self.explain_latency
     }
 
-    /// The predict latency histogram (for the bench client's report).
+    /// The predict latency histogram (`comet_request_latency_seconds`),
+    /// for code that embeds a server.
     pub fn predict_latency(&self) -> &Histogram {
         &self.predict_latency
     }
@@ -712,7 +715,8 @@ impl Registry {
 
         let _ = writeln!(
             out,
-            "# HELP comet_cache_queries_total Model queries through the shared cache."
+            "# HELP comet_cache_queries_total Model queries through the shared prediction cache \
+             (predicts; explain searches bypass it)."
         );
         let _ = writeln!(out, "# TYPE comet_cache_queries_total counter");
         let _ = writeln!(out, "comet_cache_queries_total {}", cache.total);

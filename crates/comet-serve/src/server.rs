@@ -27,10 +27,11 @@
 //! instead of silently splitting cache and store state.
 //!
 //! Workers share one process-wide model stack,
-//! `CachedModel(ResilientModel(base))` behind an `Arc`: the sharded
-//! prediction cache deduplicates the highly repetitive query stream
-//! explanations produce (its hit rate is re-exported at `/metrics`),
-//! and the resilient layer retries transient faults — rate-limited by
+//! `CachedModel(ResilientModel(base))` behind an `Arc`. The sharded
+//! prediction cache answers `/v1/predict` (its hit rate is re-exported
+//! at `/metrics`); an explain search queries the resilient layer under
+//! it directly, through the deadline gate described below. The
+//! resilient layer retries transient faults — rate-limited by
 //! a global retry token bucket so a correlated outage cannot turn into
 //! a retry storm — and trips its circuit breaker on a persistently
 //! failing backend. Per-request deadlines compose on top per query
@@ -121,7 +122,8 @@ pub struct ServeConfig {
     /// Default per-request deadline in milliseconds; 0 disables
     /// deadline enforcement entirely.
     pub deadline_ms: u64,
-    /// Shared prediction-cache capacity (entries).
+    /// Shared prediction-cache capacity (entries). The cache holds
+    /// `/v1/predict` answers; explain searches bypass it.
     pub cache_capacity: usize,
     /// Model-batch size for the explain search: perturbed candidate
     /// blocks are evaluated through `predict_batch` in chunks of up to
@@ -266,7 +268,8 @@ type FlightResult = Result<(Explanation, Tier), (StatusClass, String)>;
 /// guards the single-query predict path, where its per-call cost is
 /// irrelevant.
 struct DeadlineGate<'a> {
-    inner: &'a Stack,
+    /// The epoch stack's resilient layer, under its prediction cache.
+    inner: &'a ResilientModel<BoxedModel>,
     start: Instant,
     budget: Option<Duration>,
     cancel: Option<&'a CancelToken>,
@@ -310,21 +313,42 @@ impl CostModel for DeadlineGate<'_> {
     }
 
     /// Check the wall-clock budget once per call, then forward the
-    /// whole slice to the stack's `predict_batch` (cache partitioning
-    /// and all). Expiry granularity is one chunk — a batch admitted
-    /// just under the deadline runs to completion, which is bounded by
+    /// whole slice to the stack's `ResilientModel`, past its prediction
+    /// cache. Expiry granularity is one chunk — a batch admitted just
+    /// under the deadline runs to completion, which is bounded by
     /// `batch × per-query cost` (microseconds) and far cheaper than
     /// checking the clock per item.
+    ///
+    /// Why past the cache: in the benchmark's `explain_live` run, whose
+    /// 700 novel blocks are each explained once, no search reused
+    /// another's draws and a crude-model search repeated under 0.5% of
+    /// its own, so caching the draws filled the 2²⁰-entry cache and
+    /// cost about as much per query as the model (DESIGN.md §8). A
+    /// search that repeats earlier draws — a retried request, or a
+    /// lower ladder rung under the same seed after a failed full
+    /// search — recomputes them.
+    ///
+    /// A non-finite `Ok` becomes [`ModelError::NonFinite`] here:
+    /// nothing under the cache checks the values a batch override
+    /// returns, and the search must count such a draw as a model
+    /// fault, not as a changed prediction.
     fn predict_batch(&self, blocks: &[BasicBlock]) -> Vec<Result<f64, ModelError>> {
         if let Some(err) = self.expired() {
             return blocks.iter().map(|_| Err(err.clone())).collect();
         }
-        self.inner.predict_batch(blocks)
+        self.inner
+            .predict_batch(blocks)
+            .into_iter()
+            .map(|r| match r {
+                Ok(v) if !v.is_finite() => Err(ModelError::NonFinite { value: v }),
+                r => r,
+            })
+            .collect()
     }
 }
 
 /// Shared state visible to the accept loop, every worker, and (read
-/// only) to embedding code like the bench client and tests.
+/// only) to code that embeds a server, such as benchmarks and tests.
 pub struct ServerCtx {
     /// The published model epoch. Readers load it lock-free (RCU);
     /// every request captures exactly one `(version, model)` pair for
@@ -439,10 +463,10 @@ impl Server {
     }
 
     /// Start with an explicit base model — the injection point for
-    /// tests and the bench client (e.g. a model with artificial
-    /// latency, or a query counter). The model's rebuild recipe is
-    /// recorded as `"custom"`, which restart recovery cannot rebuild —
-    /// it falls back to the model the caller provides.
+    /// tests and benchmarks (e.g. a model with artificial latency, or
+    /// a query counter). The model's rebuild recipe is recorded as
+    /// `"custom"`, which restart recovery cannot rebuild — it falls
+    /// back to the model the caller provides.
     pub fn start_with_model(
         base: BoxedModel,
         model_name: String,
@@ -578,7 +602,7 @@ impl Server {
 
     /// Block until the server drains and every thread exits. Returns
     /// immediately unless something cancelled the token (Ctrl-C, a
-    /// test, the bench client finishing).
+    /// test or a benchmark finishing).
     pub fn join(mut self) {
         if let Some(front) = self.front.take() {
             front.join();
@@ -1293,7 +1317,7 @@ fn run_search(
                 }
                 let config = if tier == Tier::Full { base } else { base.reduced_budget() };
                 let gate = DeadlineGate {
-                    inner: &epoch.stack,
+                    inner: epoch.stack.inner(),
                     start: Instant::now(),
                     budget: remaining,
                     cancel: Some(&ctx.cancel),
@@ -1334,7 +1358,7 @@ fn run_search(
                 // an answer beats a clean timeout here). Cancellation
                 // still applies so drain is never blocked on it.
                 let gate = DeadlineGate {
-                    inner: &epoch.stack,
+                    inner: epoch.stack.inner(),
                     start: Instant::now(),
                     budget: None,
                     cancel: Some(&ctx.cancel),
@@ -1394,22 +1418,58 @@ mod tests {
             CachedModel::bounded(ResilientModel::new(base, ResilientConfig::default()), 1024);
         let block = comet_isa::parse_block("add rcx, rax").unwrap();
         let healthy = DeadlineGate {
-            inner: &stack,
+            inner: stack.inner(),
             start: Instant::now(),
             budget: Some(Duration::from_secs(60)),
             cancel: None,
         };
+        // A search's queries skip the epoch's prediction cache.
+        assert!(healthy.predict_batch(std::slice::from_ref(&block))[0].is_ok());
         assert!(healthy.try_predict(&block).is_ok());
+        assert_eq!(stack.stats().total, 0, "a search query went through the cache");
         let expired = DeadlineGate {
-            inner: &stack,
+            inner: stack.inner(),
             start: Instant::now() - Duration::from_secs(1),
             budget: Some(Duration::from_millis(1)),
             cancel: None,
         };
         assert!(matches!(expired.try_predict(&block), Err(ModelError::Timeout { .. })));
-        let unbounded =
-            DeadlineGate { inner: &stack, start: Instant::now(), budget: None, cancel: None };
+        let unbounded = DeadlineGate {
+            inner: stack.inner(),
+            start: Instant::now(),
+            budget: None,
+            cancel: None,
+        };
         assert!(unbounded.try_predict(&block).is_ok());
+    }
+
+    #[test]
+    fn deadline_gate_turns_non_finite_draws_into_errors() {
+        // A batch override that skips the finiteness check the default
+        // `try_predict` applies; `ResilientModel` passes its `Ok`s on.
+        struct LeakyBatch;
+        impl CostModel for LeakyBatch {
+            fn name(&self) -> &str {
+                "leaky-batch"
+            }
+            fn predict(&self, _: &BasicBlock) -> f64 {
+                1.0
+            }
+            fn predict_batch(&self, blocks: &[BasicBlock]) -> Vec<Result<f64, ModelError>> {
+                let leaked = [f64::NAN, f64::INFINITY, 2.0];
+                (0..blocks.len()).map(|i| Ok(leaked[i % leaked.len()])).collect()
+            }
+        }
+        let resilient =
+            ResilientModel::new(Box::new(LeakyBatch) as BoxedModel, ResilientConfig::default());
+        let gate =
+            DeadlineGate { inner: &resilient, start: Instant::now(), budget: None, cancel: None };
+        let block = comet_isa::parse_block("add rcx, rax").unwrap();
+        let draws = gate.predict_batch(&vec![block.clone(); 3]);
+        assert!(matches!(draws[0], Err(ModelError::NonFinite { value }) if value.is_nan()));
+        assert_eq!(draws[1], Err(ModelError::NonFinite { value: f64::INFINITY }));
+        assert_eq!(draws[2], Ok(2.0));
+        assert!(matches!(gate.try_predict(&block), Err(ModelError::NonFinite { .. })));
     }
 
     #[test]
@@ -1420,7 +1480,7 @@ mod tests {
         let block = comet_isa::parse_block("add rcx, rax").unwrap();
         let token = CancelToken::new();
         let gate = DeadlineGate {
-            inner: &stack,
+            inner: stack.inner(),
             start: Instant::now(),
             budget: None,
             cancel: Some(&token),

@@ -160,6 +160,9 @@ fn explain_runs_on_the_batch_path_and_reports_it() {
     let metrics = server.ctx().metrics();
     let batched = metrics.queries_batched_total();
     assert!(batched > 0, "explain search reported no batched queries");
+    // The search's queries bypass the prediction cache.
+    let cache = server.ctx().cache_stats();
+    assert_eq!(cache.total, 0, "{batched} batched queries, cache saw {cache:?}");
     let occupancy = metrics.batch_occupancy(comet_serve::Endpoint::Explain);
     assert!(
         occupancy > 0.0 && occupancy <= 1.0,
